@@ -163,42 +163,107 @@ def _w_matrix(w, spec: EncoderSpec) -> np.ndarray:
     return w
 
 
-class _SampleCache:
-    """Kernel blocks and posterior moments for one kernel-parameter sample."""
+class _InducingBlocks:
+    """Kernel blocks at the inducing points for one kernel-parameter sample.
 
-    __slots__ = (
-        "params", "k_zz", "factor", "jitter", "logdet_kzz", "k_tz",
-        "beta", "alpha", "mean", "var", "tape_z", "tape_t",
-    )
+    They depend on the sample and the inducing locations only, so one
+    instance serves every set of evaluation times and every q(u) under
+    that sample.  Kzz^-1 is solved against the identity on first use.
+    """
 
-    def __init__(self, state: ClientState, w_row: np.ndarray, times: np.ndarray,
-                 with_tape: bool):
+    __slots__ = ("params", "tape_z", "h_z", "d2_zz", "k_zz", "factor",
+                 "jitter", "logdet_kzz", "_kzz_inv")
+
+    def __init__(self, state: ClientState, w_row: np.ndarray, with_tape: bool):
         spec = state.spec
         z = state.q_u.locations
         self.params = KernelParams(w_row, spec)
         if with_tape:
             self.tape_z = dk.embed_with_tape(z, self.params, spec)
-            self.tape_t = dk.embed_with_tape(times, self.params, spec)
-            h_z, h_t = self.tape_z.out, self.tape_t.out
+            self.h_z = self.tape_z.out
         else:
-            self.tape_z = self.tape_t = None
-            h_z = dk.embed(z, self.params, spec)
-            h_t = dk.embed(times, self.params, spec)
+            self.tape_z = None
+            self.h_z = dk.embed(z, self.params, spec)
         ell2 = self.params.length_scale ** 2
-        r = self.params.r
-        dz = h_z[:, None, :] - h_z[None, :, :]
-        self.k_zz = r * np.exp(-0.5 * np.sum(dz * dz, axis=-1) / ell2)
-        dt = h_t[:, None, :] - h_z[None, :, :]
-        self.k_tz = r * np.exp(-0.5 * np.sum(dt * dt, axis=-1) / ell2)
+        self.d2_zz = dk._sqdist(self.h_z, self.h_z)
+        self.k_zz = self.params.r * np.exp(-0.5 * self.d2_zz / ell2)
         self.factor, self.jitter = chol_factor_jittered(
             self.k_zz, f"client {state.id} inducing gram", baseline=True
         )
         self.logdet_kzz = chol_logdet(self.factor)
+        self._kzz_inv = None
+
+    @property
+    def kzz_inv(self) -> np.ndarray:
+        if self._kzz_inv is None:
+            self._kzz_inv = solve_with(self.factor, np.eye(self.k_zz.shape[0]))
+        return self._kzz_inv
+
+
+class _SweepBlocks:
+    """Inducing-point blocks shared by the updates of one coordinate sweep.
+
+    Built on first use from the sample matrix ``w`` it was made for, so
+    the work falls inside whichever update runs first; every caller must
+    pass that same ``w`` object.
+    """
+
+    __slots__ = ("w", "_blocks")
+
+    def __init__(self, w):
+        self.w = w
+        self._blocks = None
+
+    def get(self, state: ClientState, w) -> list:
+        if w is not self.w:
+            raise ValueError("shared blocks were built for other kernel samples")
+        if self._blocks is None:
+            self._blocks = _inducing_blocks(state, w)
+        return self._blocks
+
+
+class _SampleCache:
+    """Kernel blocks and posterior moments at ``times`` for one sample.
+
+    ``z`` holds the sample's inducing-point blocks; the rest is built here
+    for the given evaluation times.
+
+    Bit-identity contract: reuse is limited to blocks whose floats do not
+    depend on which call computes them.  Inducing-point blocks depend on
+    the sample alone and may be shared (see :class:`_SweepBlocks`).  The
+    time-side embedding, cross block, triangular solve and GEMMs are
+    computed per call on that call's rows only: BLAS can return different
+    last bits for the same row at a different offset in its operand, so
+    slicing them out of a larger events+grid build is not exact.
+    Distances come from :func:`fedcox.kernel._sqdist`, which matches the
+    broadcast sum bit for bit.  Training amplifies any last-bit change
+    into visibly different parameters, so a rewrite here must keep every
+    float identical or be treated as a change of results.
+    """
+
+    __slots__ = (
+        "z", "k_tz", "d2_tz", "tape_t", "beta", "alpha", "mean", "var",
+    )
+
+    def __init__(self, state: ClientState, z: _InducingBlocks,
+                 times: np.ndarray, with_tape: bool):
+        spec = state.spec
+        self.z = z
+        if with_tape:
+            self.tape_t = dk.embed_with_tape(times, z.params, spec)
+            h_t = self.tape_t.out
+        else:
+            self.tape_t = None
+            h_t = dk.embed(times, z.params, spec)
+        ell2 = z.params.length_scale ** 2
+        r = z.params.r
+        self.d2_tz = dk._sqdist(h_t, z.h_z)
+        self.k_tz = r * np.exp(-0.5 * self.d2_tz / ell2)
         # One batched triangular solve covers beta and alpha.
         rhs = np.concatenate(
             [self.k_tz.T, (state.q_u.mean - state.nu)[:, None]], axis=1
         )
-        solved = solve_with(self.factor, rhs)
+        solved = solve_with(z.factor, rhs)
         self.beta = solved[:, :-1].T  # rows: Kzz^-1 k_t
         self.alpha = solved[:, -1]
         self.mean = state.nu + self.k_tz @ self.alpha
@@ -207,11 +272,19 @@ class _SampleCache:
         self.var = r - explained + smoothed
 
 
-def _caches(state, w, times, with_tape=False):
-    w_mat = _w_matrix(w, state.spec)
+def _inducing_blocks(state, w, with_tape=False):
     return [
-        _SampleCache(state, row, times, with_tape) for row in w_mat
+        _InducingBlocks(state, row, with_tape)
+        for row in _w_matrix(w, state.spec)
     ]
+
+
+def _caches(state, w, times, with_tape=False, shared=None):
+    blocks = (
+        _inducing_blocks(state, w, with_tape) if shared is None
+        else shared.get(state, w)
+    )
+    return [_SampleCache(state, b, times, with_tape) for b in blocks]
 
 
 def _mixture_moments(caches):
@@ -237,22 +310,28 @@ def posterior_f_moments(state: ClientState, w, times):
     return ef, np.maximum(var, 1e-12)
 
 
-def update_pg(state: ClientState, w) -> np.ndarray:
-    """Tilt the per-event Polya-Gamma parameters to sqrt(E[f^2])."""
+def update_pg(state: ClientState, w, shared=None) -> np.ndarray:
+    """Tilt the per-event Polya-Gamma parameters to sqrt(E[f^2]).
+
+    ``shared`` (optional) carries the inducing-point blocks of ``w`` across
+    the updates of one sweep, as :func:`client_update` does; results are
+    bit-identical either way.
+    """
     if state.events.size:
-        caches = _caches(state, w, state.events)
+        caches = _caches(state, w, state.events, shared=shared)
         _, ef2 = _mixture_moments(caches)
         state.pg = np.sqrt(np.maximum(ef2, 0.0))
     return state.pg
 
 
-def update_latent_pp(state: ClientState, w) -> np.ndarray:
+def update_latent_pp(state: ClientState, w, shared=None) -> np.ndarray:
     """Refresh the thinned-process rate and mark parameter on the grid.
 
     rate = m * exp(-E[f]/2) / (2 cosh(c/2)) with c = sqrt(E[f^2]); the
     exponent is clamped to +-60 and clamping is recorded in diagnostics.
+    ``shared`` is as in :func:`update_pg`.
     """
-    caches = _caches(state, w, state.grid.nodes)
+    caches = _caches(state, w, state.grid.nodes, shared=shared)
     ef, ef2 = _mixture_moments(caches)
     state.latent_c = np.sqrt(np.maximum(ef2, 0.0))
     log_rate = math.log(state.m) - 0.5 * ef - log_2cosh(0.5 * state.latent_c)
@@ -281,26 +360,26 @@ def _ab_coefficients(state: ClientState):
     return a_ev, b_ev, a_gr, b_gr
 
 
-def update_inducing(state: ClientState, w) -> InducingPosterior:
+def update_inducing(state: ClientState, w, shared=None) -> InducingPosterior:
     """Closed-form refresh of the sparse posterior at the inducing points.
 
     Natural parameters are averaged over the kernel samples: precision
     Kzz^-1 (Int A k k^T) Kzz^-1 + Kzz^-1 and linear term
     Kzz^-1 (Int B~ k + nu 1) with B~ = B - A (nu - k^T Kzz^-1 nu 1).
+    ``shared`` is as in :func:`update_pg`.
     """
     a_ev, b_ev, a_gr, b_gr = _ab_coefficients(state)
     a_all = np.concatenate([a_ev, a_gr])
     b_all = np.concatenate([b_ev, b_gr])
     times = np.concatenate([state.events, state.grid.nodes])
     m_ind = state.q_u.locations.size
-    caches = _caches(state, w, times)
+    caches = _caches(state, w, times, shared=shared)
     precision = np.zeros((m_ind, m_ind))
     linear = np.zeros(m_ind)
-    eye = np.eye(m_ind)
     ones = np.ones(m_ind)
     for c in caches:
-        kzz_inv = solve_with(c.factor, eye)
-        offset = state.nu * (1.0 - c.k_tz @ solve_with(c.factor, ones))
+        kzz_inv = c.z.kzz_inv
+        offset = state.nu * (1.0 - c.k_tz @ solve_with(c.z.factor, ones))
         b_tilde = b_all - a_all * offset
         precision += c.beta.T @ (a_all[:, None] * c.beta) + kzz_inv
         linear += c.beta.T @ b_tilde + state.nu * (kzz_inv @ ones)
@@ -309,7 +388,7 @@ def update_inducing(state: ClientState, w) -> InducingPosterior:
     factor, _ = chol_factor_jittered(
         precision, f"client {state.id} inducing precision"
     )
-    cov = solve_with(factor, eye)
+    cov = solve_with(factor, np.eye(m_ind))
     cov = 0.5 * (cov + cov.T)
     state.q_u = InducingPosterior(
         locations=state.q_u.locations, mean=solve_with(factor, linear), cov=cov
@@ -376,10 +455,10 @@ def _kl_inducing(state, caches) -> float:
     total = 0.0
     for c in caches:
         total += 0.5 * (
-            c.logdet_kzz
+            c.z.logdet_kzz
             - logdet_cov
-            + float(np.trace(solve_with(c.factor, state.q_u.cov)))
-            + float(a @ solve_with(c.factor, a))
+            + float(np.trace(solve_with(c.z.factor, state.q_u.cov)))
+            + float(a @ solve_with(c.z.factor, a))
             - m_ind
         )
     return total / len(caches)
@@ -479,15 +558,14 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     b_t = np.concatenate([scale * pg_ev, lam_w * pg_mean(state.latent_c)])
 
     sigma_u = state.q_u.cov
-    ones = np.ones(state.q_u.locations.size)
     grad_w = np.zeros((len(caches), state.phi.dim))
     for s, c in enumerate(caches):
         beta = c.beta
-        gamma = solve_with(c.factor, (beta @ sigma_u).T).T
+        gamma = solve_with(c.z.factor, (beta @ sigma_u).T).T
         u_t = a_t - b_t * c.mean
         d_k_tz = u_t[:, None] * c.alpha[None, :] + b_t[:, None] * (beta - gamma)
         coeff_tt = -0.5 * float(np.sum(b_t))
-        kzz_inv = solve_with(c.factor, np.eye(ones.size))
+        kzz_inv = c.z.kzz_inv
         m_k = (
             -0.5 * (beta.T @ (b_t[:, None] * beta))
             - 0.5 * kzz_inv
@@ -499,8 +577,9 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
         gb = (b_t[:, None] * gamma).T @ beta
         m_k += 0.5 * (gb + gb.T)
         grad_w[s] = dk.accumulate_param_grad(
-            m_k, d_k_tz, coeff_tt, c.k_zz, c.k_tz, c.tape_z, c.tape_t,
-            c.params, state.spec, k_zz_jitter=c.jitter,
+            m_k, d_k_tz, coeff_tt, c.z.k_zz, c.k_tz, c.z.d2_zz, c.d2_tz,
+            c.z.tape_z, c.tape_t, c.z.params, state.spec,
+            k_zz_jitter=c.z.jitter,
         )
     g_mean = grad_w.mean(axis=0)
     g_logv = (grad_w * eps).mean(axis=0) * 0.5 * std
@@ -516,8 +595,9 @@ def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
                   batch_size: int, eta: float, seed: int) -> DiagGaussian:
     """Run the local epochs: coordinate sweep, then mini-batch phi steps.
 
-    Each epoch draws one shared set of kernel samples for the sweep, then
-    walks shuffled mini-batches of sequences with per-step fresh noise.
+    Each epoch draws one shared set of kernel samples for the sweep, whose
+    updates also share the samples' inducing-point blocks, then walks
+    shuffled mini-batches of sequences with per-step fresh noise.
     The phi steps use Adam on (mean, log variance); raw gradients carry
     the event count's scale, which plain constant-step descent cannot
     survive on the log-variance coordinates.  Fully deterministic given
@@ -536,9 +616,10 @@ def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
         w = draw_w_samples(
             state.phi, state.n_w_samples, derive_seed(seed, epoch, 0)
         )
-        update_pg(state, w)
-        update_latent_pp(state, w)
-        update_inducing(state, w)
+        shared = _SweepBlocks(w)
+        update_pg(state, w, shared)
+        update_latent_pp(state, w, shared)
+        update_inducing(state, w, shared)
         update_scale(state)
         order = np.random.default_rng(
             derive_seed(seed, epoch, 1)
@@ -593,25 +674,28 @@ def test_loglik(state: ClientState, test_seqs, interval, n_quad: int = 200) -> f
 
     Per sequence: sum of log intensity at its events minus the integrated
     intensity over [t_a, t_b] (trapezoid with ``n_quad`` nodes), with the
-    kernel parameters fixed at the variational mean.
+    kernel parameters fixed at the variational mean.  One intensity call
+    covers the grid and every test event.
     """
     t_a, t_b = float(interval[0]), float(interval[1])
     if not t_a < t_b:
         raise ValueError("interval must satisfy t_a < t_b")
     if not test_seqs:
         raise ValueError("no test sequences supplied")
-    grid = np.linspace(t_a, t_b, n_quad)
-    lam_grid = intensity(state, grid)
-    integral = float(np.trapezoid(lam_grid, grid))
-    total = 0.0
     for seq in test_seqs:
         if seq.times.size and (
             seq.times[0] < t_a or seq.times[-1] > t_b
         ):
             raise ValueError("test event outside the evaluation interval")
+    grid = np.linspace(t_a, t_b, n_quad)
+    lam = intensity(state, np.concatenate([grid] + [s.times for s in test_seqs]))
+    integral = float(np.trapezoid(lam[:n_quad], grid))
+    log_lam = np.log(np.maximum(lam[n_quad:], 1e-300))
+    total, start = 0.0, 0
+    for seq in test_seqs:
         if seq.times.size:
-            lam_ev = intensity(state, seq.times)
-            total += float(np.sum(np.log(np.maximum(lam_ev, 1e-300))))
+            total += float(np.sum(log_lam[start:start + seq.times.size]))
+            start += seq.times.size
         total -= integral
     return total / len(test_seqs)
 

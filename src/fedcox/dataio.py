@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +51,20 @@ class EventSequence:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be positive and finite")
         if times.ndim != 1:
             raise ValueError("times must be a vector")
         if times.size:
+            # Every comparison with NaN is false and the horizon is finite,
+            # so times passing both checks below are all finite.
             diffs = np.diff(times)
-            if np.any(diffs < 0):
-                raise ValueError("times must be nondecreasing")
-            if np.any(diffs == 0):
+            if not (diffs >= 0).all():
+                raise ValueError("times must be finite and nondecreasing")
+            if (diffs == 0).any():
                 log.warning("sequence contains tied event times")
-            if times[0] < 0 or times[-1] > self.horizon:
-                raise ValueError("times must lie within [0, horizon]")
+            if not (times[0] >= 0 and times[-1] <= self.horizon):
+                raise ValueError("times must be finite and lie within [0, horizon]")
         if self.marks is not None:
             marks = np.asarray(self.marks, dtype=np.int64)
             object.__setattr__(self, "marks", marks)
@@ -296,6 +299,8 @@ def load_jsonl(path) -> list[EventSequence]:
             if "times" not in record:
                 raise ValueError(f"missing 'times' at line {lineno}")
             times = np.asarray(record["times"], dtype=np.float64)
+            if not np.all(np.isfinite(times)):
+                raise ValueError(f"non-finite event time at line {lineno}")
             if times.size and np.any(np.diff(times) < 0):
                 raise ValueError(f"unsorted times at line {lineno}")
             marks = record.get("marks")

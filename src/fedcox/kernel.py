@@ -29,7 +29,6 @@ __all__ = [
     "net_vjp",
     "kernel_eval",
     "kernel_matrix",
-    "kernel_diag",
     "kernel_grad",
     "accumulate_param_grad",
 ]
@@ -206,10 +205,48 @@ def embed_with_jacobian(times, params, spec: EncoderSpec):
     return tape.out, jac
 
 
+# numpy sums a contiguous axis of at most this many terms in one unrolled
+# block and splits longer axes recursively; _sqdist leaves embeddings wider
+# than this to numpy's own sum.
+_PAIRWISE_BLOCK = 128
+
+
 def _sqdist(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances between embedding rows."""
-    d = ha[:, None, :] - hb[None, :, :]
-    return np.sum(d * d, axis=-1)
+    """Pairwise squared distances between embedding rows.
+
+    Adds the per-coordinate squared differences as 2-D (n, m) arrays in the
+    order numpy's pairwise summation uses along the last axis: in sequence
+    below 8 coordinates, otherwise in 8 running sums combined as a tree,
+    then the remainder.  The result is bit-identical to
+    ``np.sum((ha[:, None] - hb[None]) ** 2, axis=-1)`` without forming the
+    (n, m, d) tensor.
+    """
+    n_dim = ha.shape[1]
+    if n_dim > _PAIRWISE_BLOCK:
+        d = ha[:, None, :] - hb[None, :, :]
+        return np.sum(d * d, axis=-1)
+    cols_a, cols_b = ha.T[:, :, None], hb.T[:, None, :]
+    scratch = np.empty((ha.shape[0], hb.shape[0]))
+
+    def square(k, out=None):
+        out = np.subtract(cols_a[k], cols_b[k], out=out)
+        return np.multiply(out, out, out=out)
+
+    if n_dim < 8:
+        total = square(0)
+        for k in range(1, n_dim):
+            total += square(k, scratch)
+        return total
+    r = [square(k) for k in range(8)]
+    for k in range(8, n_dim - n_dim % 8):
+        r[k % 8] += square(k, scratch)
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place.
+    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[i] += r[j]
+    total = r[0]
+    for k in range(n_dim - n_dim % 8, n_dim):
+        total += square(k, scratch)
+    return total
 
 
 def kernel_eval(t_i, t_j, params, spec: EncoderSpec) -> float:
@@ -229,12 +266,6 @@ def kernel_matrix(times_a, times_b, params, spec: EncoderSpec) -> np.ndarray:
     hb = embed(np.atleast_1d(times_b), p, spec)
     ell = p.length_scale
     return p.r * np.exp(-0.5 * _sqdist(ha, hb) / (ell * ell))
-
-
-def kernel_diag(n: int, params, spec: EncoderSpec) -> np.ndarray:
-    """Diagonal k(t, t) = r, independent of t."""
-    p = _as_params(params, spec)
-    return np.full(n, p.r)
 
 
 def kernel_grad(t_i, t_j, params, spec: EncoderSpec) -> np.ndarray:
@@ -260,6 +291,8 @@ def accumulate_param_grad(
     coeff_tt_sum,
     k_zz,
     k_tz,
+    d2_zz,
+    d2_tz,
     tape_z: EmbedTape,
     tape_t: EmbedTape,
     params,
@@ -271,8 +304,9 @@ def accumulate_param_grad(
     Given dG/dK_zz (symmetric, M x M), dG/dk_tz (N x M) and the summed
     coefficient of the diagonal entries k(t, t), returns
     sum over entries of coeff * d(kernel entry)/d(packed).  Raw kernel
-    blocks and embedding tapes are passed in so call sites can reuse their
-    caches.
+    blocks, their squared embedding distances (``d2_zz``, ``d2_tz``, as
+    :func:`_sqdist` gives them) and the embedding tapes are passed in so
+    call sites can reuse their caches.
 
     ``k_zz_jitter`` is the diagonal boost the caller added to the square
     block before factorizing.  The jitter scales with the mean diagonal,
@@ -293,8 +327,6 @@ def accumulate_param_grad(
         + k_zz_jitter * float(np.trace(np.atleast_2d(coeff_zz)))
     )
     # log_l: entry * ||dh||^2 / l^2 (diagonal entries have zero distance).
-    d2_zz = _sqdist(h_z, h_z)
-    d2_tz = _sqdist(h_t, h_z)
     grad[-1] = (
         float(np.sum(coeff_zz * k_zz * d2_zz))
         + float(np.sum(coeff_tz * k_tz * d2_tz))

@@ -213,17 +213,19 @@ def run_round(server: ServerState, clients, config: FedConfig,
         )
 
     t0 = time.perf_counter()
+    # Results are recorded one by one in participant order, so the first
+    # participant without one is the client that failed.
     try:
         if config.n_workers > 1:
             with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
                 futures = {cid: pool.submit(job, cid) for cid in participants}
-                jobs = {cid: fut.result() for cid, fut in futures.items()}
+                for cid, fut in futures.items():
+                    jobs[cid] = fut.result()
         else:
-            jobs = {cid: job(cid) for cid in participants}
+            for cid in participants:
+                jobs[cid] = job(cid)
     except Exception as exc:
-        failed = next(
-            (cid for cid in participants if cid not in jobs), participants[0]
-        )
+        failed = next(cid for cid in participants if cid not in jobs)
         raise RoundError(
             f"round {server.round} aborted: client {failed} failed: {exc}"
         ) from exc

@@ -9,7 +9,7 @@ from scipy.special import expit
 import fedcox.client as cl
 from fedcox.dataio import EventSequence
 from fedcox.kernel import EncoderSpec, kernel_matrix
-from fedcox.numerics import DiagGaussian, trapezoid_grid
+from fedcox.numerics import DiagGaussian, solve_with, trapezoid_grid
 
 SPEC = EncoderSpec(hidden_dim=2, output_dim=2, t_norm=1.0)
 DIM = SPEC.n_params
@@ -403,6 +403,48 @@ class TestMfviSweepMonotonicity:
         assert worst >= -1e-9
 
 
+class TestSharedSweepBlocks:
+    def test_cached_kzz_inverse_is_identity_solve(self):
+        rng = np.random.default_rng(30)
+        st = make_state(rng, n_inducing=7)
+        for row in cl.draw_w_samples(st.phi, 3, 5):
+            blocks = cl._InducingBlocks(st, row, with_tape=False)
+            np.testing.assert_array_equal(
+                blocks.kzz_inv, solve_with(blocks.factor, np.eye(7))
+            )
+            assert blocks.kzz_inv is blocks.kzz_inv
+
+    def test_shared_sweep_bit_identical_to_unshared(self):
+        for trial in range(6):
+            rng = np.random.default_rng(3000 + trial)
+            # Random event counts (3 to 27) vary where the grid rows start.
+            st = make_state(rng, n_seqs=3, max_events=9, n_inducing=6,
+                            n_grid=19)
+            w = cl.draw_w_samples(st.phi, 3, trial)
+            plain, shared_st = copy.deepcopy(st), copy.deepcopy(st)
+            for update in (cl.update_pg, cl.update_latent_pp,
+                           cl.update_inducing):
+                update(plain, w)
+            shared = cl._SweepBlocks(w)
+            for update in (cl.update_pg, cl.update_latent_pp,
+                           cl.update_inducing):
+                update(shared_st, w, shared)
+            np.testing.assert_array_equal(shared_st.pg, plain.pg)
+            np.testing.assert_array_equal(shared_st.latent_rate, plain.latent_rate)
+            np.testing.assert_array_equal(shared_st.latent_c, plain.latent_c)
+            np.testing.assert_array_equal(shared_st.q_u.mean, plain.q_u.mean)
+            np.testing.assert_array_equal(shared_st.q_u.cov, plain.q_u.cov)
+
+    def test_blocks_refuse_other_samples(self):
+        rng = np.random.default_rng(31)
+        st = make_state(rng)
+        w = cl.draw_w_samples(st.phi, 2, 1)
+        shared = cl._SweepBlocks(w)
+        cl.update_pg(st, w, shared)
+        with pytest.raises(ValueError):
+            cl.update_latent_pp(st, w.copy(), shared)
+
+
 class TestObjectiveGradient:
     def test_kl_gradient_zero_at_prior_match(self):
         # No data terms and phi = theta: the divergence gradient w.r.t. the
@@ -559,6 +601,41 @@ class TestTestLoglik:
         st = make_state(rng)
         seqs = [EventSequence(times=np.array([0.9]), horizon=1.0)]
         with pytest.raises(ValueError):
+            cl.test_loglik(st, seqs, (0.0, 0.5))
+
+    def test_batched_matches_per_sequence_sum(self):
+        for trial in range(4):
+            rng = np.random.default_rng(40 + trial)
+            st = make_state(rng)
+            # A short length scale keeps Kzz well conditioned (condition
+            # number <= 1e5 here); near-singular grams amplify the last-bit
+            # differences between row batches far beyond 1e-12.
+            mean = st.phi.mean.copy()
+            mean[-1] = -3.0
+            st.phi = DiagGaussian(mean, st.phi.var)
+            seqs = [
+                EventSequence(times=np.sort(rng.uniform(0.2, 0.9, n)), horizon=1.0)
+                for n in (3, 0, 7, 1, 4)
+            ]
+            grid = np.linspace(0.2, 0.9, 150)
+            integral = float(np.trapezoid(cl.intensity(st, grid), grid))
+            total = 0.0
+            for seq in seqs:
+                if seq.times.size:
+                    total += float(np.sum(np.log(cl.intensity(st, seq.times))))
+                total -= integral
+            got = cl.test_loglik(st, seqs, (0.2, 0.9), n_quad=150)
+            assert got == pytest.approx(total / len(seqs), rel=1e-12)
+
+    def test_later_sequence_outside_interval_rejected(self):
+        rng = np.random.default_rng(26)
+        st = make_state(rng)
+        seqs = [
+            EventSequence(times=np.array([0.1, 0.3]), horizon=1.0),
+            EventSequence(times=np.empty(0), horizon=1.0),
+            EventSequence(times=np.array([0.2, 0.6]), horizon=1.0),
+        ]
+        with pytest.raises(ValueError, match="outside"):
             cl.test_loglik(st, seqs, (0.0, 0.5))
 
     def test_interval_validation(self):

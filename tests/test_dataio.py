@@ -28,6 +28,16 @@ class TestEventSequence:
         with pytest.raises(ValueError):
             EventSequence(times=np.array([0.5, 1.5]), horizon=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EventSequence(times=np.array([0.1, bad]), horizon=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EventSequence(times=np.array([0.1, 0.2]), horizon=bad)
+
     def test_marks_length_checked(self):
         with pytest.raises(ValueError):
             EventSequence(times=np.array([0.1, 0.2]), horizon=1.0,
@@ -203,6 +213,19 @@ class TestJsonl:
             '{"times": [0.1], "horizon": 1.0}\n'
             '{"times": [0.1, 0.2], "marks": [1], "horizon": 1.0}\n'
         )
+        with pytest.raises(ValueError, match="line 2"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"times": [0.1, NaN], "horizon": 1.0}',
+        '{"times": [0.1, Infinity]}',
+        '{"times": [-Infinity, 0.1], "horizon": 1.0}',
+        '{"times": [0.1, 0.5], "horizon": Infinity}',
+        '{"times": [], "horizon": NaN}',
+    ])
+    def test_non_finite_values_name_line(self, tmp_path, record):
+        path = tmp_path / "nonfinite.jsonl"
+        path.write_text('{"times": [0.1], "horizon": 1.0}\n' + record + "\n")
         with pytest.raises(ValueError, match="line 2"):
             load_jsonl(path)
 

@@ -5,6 +5,7 @@ import pytest
 from fedcox.kernel import (
     EncoderSpec,
     KernelParams,
+    _sqdist,
     embed,
     embed_with_jacobian,
     init_kernel_params,
@@ -201,6 +202,30 @@ class TestKernelMatrix:
                 assert k[i, j] == pytest.approx(
                     kernel_eval(a[i], b[j], packed, spec), rel=1e-13
                 )
+
+
+def sqdist_broadcast(ha, hb):
+    """Reference distances: numpy's own sum over an (n, m, d) tensor."""
+    d = ha[:, None, :] - hb[None, :, :]
+    return np.sum(d * d, axis=-1)
+
+
+class TestSqdist:
+    def test_bit_identical_to_broadcast_sum(self):
+        rng = np.random.default_rng(16)
+        for n_dim in range(1, 21):
+            for n_rows, n_cols in ((1, 1), (7, 3), (29, 13), (51, 49)):
+                ha = rng.standard_normal((n_rows, n_dim)) * 10.0 ** rng.uniform(-3, 3)
+                hb = rng.standard_normal((n_cols, n_dim))
+                np.testing.assert_array_equal(
+                    _sqdist(ha, hb), sqdist_broadcast(ha, hb),
+                    err_msg=f"d={n_dim}, rows={n_rows}, cols={n_cols}",
+                )
+
+    def test_wide_embeddings_take_numpy_sum(self):
+        rng = np.random.default_rng(17)
+        ha, hb = rng.standard_normal((5, 131)), rng.standard_normal((3, 131))
+        np.testing.assert_array_equal(_sqdist(ha, hb), sqdist_broadcast(ha, hb))
 
 
 class TestKernelGrad:

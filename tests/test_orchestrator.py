@@ -180,6 +180,27 @@ class TestRunRound:
         for cid in range(3):
             assert states_equal(clients[cid], snapshot[cid])
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failure_names_client_that_is_not_first(self, monkeypatch,
+                                                    n_workers):
+        rng = np.random.default_rng(3)
+        config = tiny_config(n_clients=3, participants_per_round=2,
+                             n_workers=n_workers)
+        server, clients = build_clients(config, tiny_dataset(rng, 3), 1.0)
+        first, victim = sample_participants(0, config)
+
+        real = cl.client_update
+
+        def exploding(state, *args, **kwargs):
+            if state.id == victim:
+                raise FloatingPointError("synthetic blow-up")
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr("fedcox.orchestrator.cl.client_update", exploding)
+        with pytest.raises(RoundError, match=f"client {victim} failed"):
+            run_round(server, clients, config)
+        assert server.round == 0
+
     def test_metrics_shape(self):
         rng = np.random.default_rng(4)
         config = tiny_config()
