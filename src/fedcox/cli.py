@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,7 +21,12 @@ import yaml
 
 from . import client as cl
 from . import dataio
-from .aggregation import AGGREGATION_KINDS, AggregationMethod, aggregate
+from .aggregation import (
+    _MMD_DEFAULTS,
+    AGGREGATION_KINDS,
+    AggregationMethod,
+    aggregate,
+)
 from .kernel import PACKING_VERSION, EncoderSpec
 from .numerics import DiagGaussian, trapezoid_grid
 from .orchestrator import FedConfig, run_training
@@ -40,22 +46,14 @@ _TOP_KEYS = {
 }
 _GEN_KEYS = {"m", "horizon", "train_seqs", "test_seqs", "kernels", "grid_size"}
 
+# Keys that only the CLI reads, and the CLI's smaller run size; every
+# other key left out of a config takes FedConfig's default.
 _DEFAULT_CONFIG = {
     "seed": 0,
     "clients": 2,
     "participants": 2,
     "rounds": 10,
-    "local_epochs": 5,
-    "batch_size": 4,
-    "step_size": 1e-3,
-    "straggle_period": 1,
     "aggregation": "kl",
-    "n_inducing": 50,
-    "quad_nodes": 200,
-    "n_w_samples": 4,
-    "hidden_dim": 32,
-    "embed_dim": 8,
-    "n_workers": 1,
     "split": "sequence",
     "generate": {
         "m": 50.0,
@@ -65,6 +63,8 @@ _DEFAULT_CONFIG = {
         "kernels": [[1.5, 10.0], [2.0, 8.0]],
     },
 }
+# Config keys named differently from their FedConfig field.
+_FED_FIELDS = {"clients": "n_clients", "participants": "participants_per_round"}
 
 
 class ConfigError(ValueError):
@@ -131,31 +131,15 @@ def _validate_config(cfg: dict) -> None:
 
 
 def fed_config(cfg: dict) -> FedConfig:
-    method_kwargs = {}
-    if cfg["aggregation"] == "mmd":
-        method_kwargs = {
-            "mmd_delta": cfg.get("mmd_delta", 1.0),
-            "mmd_steps": cfg.get("mmd_steps", 500),
-            "mmd_eta": cfg.get("mmd_eta", 1e-2),
-        }
-    return FedConfig(
-        n_clients=cfg["clients"],
-        participants_per_round=cfg["participants"],
-        rounds=cfg["rounds"],
-        local_epochs=cfg["local_epochs"],
-        batch_size=cfg["batch_size"],
-        step_size=cfg["step_size"],
-        straggle_period=cfg["straggle_period"],
-        aggregation=AggregationMethod(cfg["aggregation"], **method_kwargs),
-        seed=cfg["seed"],
-        n_inducing=cfg["n_inducing"],
-        quad_nodes=cfg["quad_nodes"],
-        n_w_samples=cfg["n_w_samples"],
-        hidden_dim=cfg["hidden_dim"],
-        embed_dim=cfg["embed_dim"],
-        n_workers=cfg["n_workers"],
-        eval_all=cfg.get("eval_all", False),
-    )
+    fields = {f.name for f in dataclasses.fields(FedConfig)} - {"aggregation"}
+    kwargs = {}
+    for key, value in cfg.items():
+        name = _FED_FIELDS.get(key, key)
+        if name in fields:
+            kwargs[name] = value
+    kind = cfg["aggregation"]
+    mmd = {k: cfg.get(k) for k in _MMD_DEFAULTS} if kind == "mmd" else {}
+    return FedConfig(aggregation=AggregationMethod(kind, **mmd), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -440,9 +424,7 @@ def cmd_eval(args) -> int:
 
 def cmd_aggregate(args) -> int:
     records = read_param_records(args.input)
-    kwargs = {}
-    if args.method == "mmd":
-        kwargs = {"mmd_delta": args.mmd_delta, "mmd_steps": 500, "mmd_eta": 1e-2}
+    kwargs = {"mmd_delta": args.mmd_delta} if args.method == "mmd" else {}
     method = AggregationMethod(args.method, **kwargs)
     result = aggregate(method, records)
     write_param_records([result], args.out)
@@ -488,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--method", choices=AGGREGATION_KINDS, required=True)
     p_agg.add_argument("--in", dest="input", type=str, required=True)
     p_agg.add_argument("--out", type=str, required=True)
-    p_agg.add_argument("--mmd-delta", dest="mmd_delta", type=float, default=1.0)
+    p_agg.add_argument("--mmd-delta", dest="mmd_delta", type=float, default=None)
     p_agg.set_defaults(func=cmd_aggregate)
     return parser
 

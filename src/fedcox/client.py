@@ -412,9 +412,9 @@ def update_scale(state: ClientState) -> float:
     return state.m
 
 
-def _event_terms(state, ef, ef2, idx=None):
+def _event_terms(state, ef, ef2, idx):
     """Per-event augmented-likelihood terms at the current tilting."""
-    c = state.pg if idx is None else state.pg[idx]
+    c = state.pg[idx]
     omega = pg_mean(c)
     return (
         math.log(state.m)
@@ -464,24 +464,42 @@ def _kl_inducing(state, caches) -> float:
     return total / len(caches)
 
 
-def _batch_event_idx(state, batch):
-    idx = np.concatenate(
-        [np.arange(s.start, s.stop) for s in (state.seq_slices[i] for i in batch)]
-    ) if len(batch) else np.empty(0, dtype=int)
-    return idx
+def _batch_events(state, batch):
+    """Event indices, event-term scale and evaluation times of a mini-batch.
+
+    ``batch`` is a list of training-sequence indices; its event terms are
+    scaled by n_seqs / |batch| so the estimator stays unbiased.  ``None``
+    means every event at scale 1.  The times are the batch's events
+    followed by the grid nodes.
+    """
+    if batch is None:
+        idx, scale = np.arange(state.events.size), 1.0
+    else:
+        batch = np.asarray(batch, dtype=int)
+        if batch.size == 0:
+            raise ValueError("batch must be nonempty")
+        scale = state.n_seqs / batch.size
+        idx = np.concatenate([
+            np.arange(s.start, s.stop)
+            for s in (state.seq_slices[i] for i in batch)
+        ])
+    return idx, scale, np.concatenate([state.events[idx], state.grid.nodes])
 
 
-def augmented_elbo(state: ClientState, w) -> float:
+def augmented_elbo(state: ClientState, w, batch=None) -> float:
     """Bound terms that depend on the augmented model, for given w samples.
 
     Expected augmented log-likelihood minus KL(q(u) || p(u|w)), averaged
     over the rows of ``w``.  Excludes the kernel-parameter divergence.
+    ``batch`` selects and rescales the event terms (see
+    :func:`_batch_events`); the integral and inducing-KL terms keep full
+    weight.
     """
-    times = np.concatenate([state.events, state.grid.nodes])
+    idx, scale, times = _batch_events(state, batch)
     caches = _caches(state, w, times)
     ef, ef2 = _mixture_moments(caches)
-    n_ev = state.events.size
-    value = float(np.sum(_event_terms(state, ef[:n_ev], ef2[:n_ev])))
+    n_ev = idx.size
+    value = scale * float(np.sum(_event_terms(state, ef[:n_ev], ef2[:n_ev], idx)))
     value += _grid_term(state, ef[n_ev:], ef2[n_ev:])
     value -= _kl_inducing(state, caches)
     if not np.isfinite(value):
@@ -504,29 +522,11 @@ def local_objective(state: ClientState, theta: DiagGaussian, batch=None,
                     n_w_samples: int = 1, noise_seed: int = 0) -> float:
     """Negative sampled bound, with event terms rescaled to a mini-batch.
 
-    ``batch`` is a list of training-sequence indices; its event terms are
-    scaled by n_seqs / |batch| so the estimator stays unbiased, while the
-    integral, inducing-KL and prior-divergence terms keep full weight.
+    ``batch`` is as in :func:`augmented_elbo`; the prior-divergence term
+    keeps full weight.  With ``batch=None`` this is exactly ``-elbo``.
     """
-    if batch is None:
-        batch = np.arange(state.n_seqs)
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("batch must be nonempty")
-    scale = state.n_seqs / batch.size
-    idx = _batch_event_idx(state, batch)
-    times = np.concatenate([state.events[idx], state.grid.nodes])
     w = draw_w_samples(state.phi, n_w_samples, noise_seed)
-    caches = _caches(state, w, times)
-    ef, ef2 = _mixture_moments(caches)
-    n_ev = idx.size
-    value = scale * float(np.sum(_event_terms(state, ef[:n_ev], ef2[:n_ev], idx)))
-    value += _grid_term(state, ef[n_ev:], ef2[n_ev:])
-    value -= _kl_inducing(state, caches)
-    value -= kl_diag(state.phi, theta)
-    if not np.isfinite(value):
-        raise FloatingPointError("local objective is not finite")
-    return -value
+    return -(augmented_elbo(state, w, batch) - kl_diag(state.phi, theta))
 
 
 def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
@@ -537,15 +537,7 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     numbers), so it matches finite differences of the sampled objective.
     Returns ``(grad_mean, grad_log_var)``.
     """
-    if batch is None:
-        batch = np.arange(state.n_seqs)
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("batch must be nonempty")
-    scale = state.n_seqs / batch.size
-    idx = _batch_event_idx(state, batch)
-    times = np.concatenate([state.events[idx], state.grid.nodes])
-
+    idx, scale, times = _batch_events(state, batch)
     eps = _draw_eps(state.phi.dim, n_w_samples, noise_seed)
     std = state.phi.std()
     w = state.phi.mean + std * eps

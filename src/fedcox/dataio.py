@@ -220,26 +220,20 @@ def simulate_sgcp(m, kernel, horizon, seed, nu=0.0, f_override=None):
     be reused across seeds).
 
     ``f_override``: optional callable t -> f(t) replacing the GP draw, for
-    fixed-function sampling in statistical checks.
+    fixed-function sampling in statistical checks.  Without it this is
+    :func:`simulate_client` with one sequence.
     """
+    if f_override is None:
+        seqs, truth = simulate_client(m, kernel, horizon, 1, seed, nu)
+        return seqs[0], truth
     if m <= 0 or horizon <= 0:
         raise ValueError("m and horizon must be positive")
     rng = np.random.default_rng(seed)
-    if f_override is not None:
-        grid = np.linspace(0.0, horizon, GROUND_TRUTH_GRID)
-        n_cand = rng.poisson(m * horizon)
-        cand = np.sort(rng.uniform(0.0, horizon, n_cand))
-        f_cand = np.asarray(f_override(cand), dtype=np.float64)
-        f_grid = np.asarray(f_override(grid), dtype=np.float64)
-    else:
-        gram = _gram_fn(kernel)
-        grid, factor = _grid_and_factor(gram, kernel, horizon)
-        f_grid = nu + np.tril(factor[0]) @ rng.standard_normal(grid.size)
-        n_cand = rng.poisson(m * horizon)
-        cand = np.sort(rng.uniform(0.0, horizon, n_cand))
-        f_cand = _conditional_draw(
-            gram, cand, grid, f_grid, nu, rng, obs_factor=factor
-        )
+    grid = np.linspace(0.0, horizon, GROUND_TRUTH_GRID)
+    n_cand = rng.poisson(m * horizon)
+    cand = np.sort(rng.uniform(0.0, horizon, n_cand))
+    f_cand = np.asarray(f_override(cand), dtype=np.float64)
+    f_grid = np.asarray(f_override(grid), dtype=np.float64)
     keep = rng.uniform(size=n_cand) < expit(f_cand)
     seq = EventSequence(times=cand[keep], horizon=float(horizon))
     return seq, (grid, m * expit(f_grid))
@@ -298,14 +292,28 @@ def load_jsonl(path) -> list[EventSequence]:
                 raise ValueError(f"malformed JSON at line {lineno}: {exc}") from None
             if "times" not in record:
                 raise ValueError(f"missing 'times' at line {lineno}")
-            times = np.asarray(record["times"], dtype=np.float64)
+            try:
+                times = np.asarray(record["times"], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"non-numeric event times at line {lineno}") from None
+            if times.ndim != 1:
+                raise ValueError(f"'times' must be a list at line {lineno}")
             if not np.all(np.isfinite(times)):
                 raise ValueError(f"non-finite event time at line {lineno}")
             if times.size and np.any(np.diff(times) < 0):
                 raise ValueError(f"unsorted times at line {lineno}")
             marks = record.get("marks")
-            if marks is not None and len(marks) != times.size:
-                raise ValueError(f"marks length mismatch at line {lineno}")
+            if marks is not None:
+                try:
+                    marks = np.asarray(marks)
+                except ValueError:
+                    raise ValueError(f"ragged marks at line {lineno}") from None
+                if marks.shape != times.shape:
+                    raise ValueError(f"marks length mismatch at line {lineno}")
+                if marks.dtype.kind not in "iu" and not (
+                    marks.dtype.kind == "f" and np.all(np.mod(marks, 1.0) == 0)
+                ):
+                    raise ValueError(f"marks must be integers at line {lineno}")
             horizon = record.get("horizon")
             if horizon is None:
                 if times.size == 0:

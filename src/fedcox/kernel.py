@@ -48,14 +48,8 @@ class EncoderSpec:
     hidden_dim: int = 32
     output_dim: int = 8
     t_norm: float = 1.0
-    kind: str = "time-feature"
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.kind != "time-feature":
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
-        if self.activation != "tanh":
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.hidden_dim < 1 or self.output_dim < 1:
             raise ValueError("hidden_dim and output_dim must be >= 1")
         if self.t_norm <= 0:

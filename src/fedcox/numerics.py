@@ -7,7 +7,7 @@ function of its inputs and safe to share across workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve as _cho_solve
@@ -15,7 +15,6 @@ from scipy.linalg import cho_factor, cho_solve as _cho_solve
 __all__ = [
     "DiagGaussian",
     "QuadratureGrid",
-    "SpdMatrix",
     "FactorizationError",
     "kl_diag",
     "w2_diag",
@@ -106,28 +105,6 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.nodes.size
-
-
-@dataclass
-class SpdMatrix:
-    """Symmetric positive-definite matrix plus the jitter used to factorize it.
-
-    ``jitter`` starts at zero and records whatever diagonal boost the last
-    factorization needed (see :func:`chol_factor_jittered`).
-    """
-
-    entries: np.ndarray
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.float64)
-        self.entries = a
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if not np.all(np.abs(a - a.T) <= 1e-10):
-            raise ValueError("matrix is not symmetric within 1e-10")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
 
 
 def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:
@@ -235,18 +212,9 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
 
 
 def chol_solve(a, b, label: str = "matrix"):
-    """Solve ``a x = b`` for SPD ``a`` (array or :class:`SpdMatrix`).
-
-    Factorization jitter escalates as in :func:`chol_factor_jittered`; an
-    :class:`SpdMatrix` input gets its ``jitter`` field updated with the
-    value actually used.
-    """
-    if isinstance(a, SpdMatrix):
-        factor, jitter = chol_factor_jittered(a.entries, label)
-        a.jitter = jitter
-    else:
-        factor, _ = chol_factor_jittered(a, label)
-    return _cho_solve(factor, np.asarray(b, dtype=np.float64), check_finite=False)
+    """Solve ``a x = b`` for SPD ``a``, with jitter as in :func:`chol_factor_jittered`."""
+    factor, _ = chol_factor_jittered(a, label)
+    return solve_with(factor, b)
 
 
 def chol_logdet(factor) -> float:

@@ -85,6 +85,15 @@ class TestKl:
         assert oracle.mean[0] == pytest.approx(1.0, abs=1e-6)
         assert oracle.var[0] == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["kl", "mmd"])
+    def test_large_means_accepted(self, kind):
+        # The moment form loses digits here; MMD warm-starts from KL.
+        phis = gaussians([[-64.6], [-65.2]], [[0.26], [0.62]])
+        out = aggregate(AggregationMethod(kind), phis)
+        assert np.all(np.isfinite(out.mean)) and np.all(out.var > 0)
+        if kind == "kl":
+            assert out.var[0] == pytest.approx(0.53, rel=1e-9)
+
     def test_matches_numerical_minimizer(self):
         rng = np.random.default_rng(1)
         for dim in (1, 5):

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 import yaml
 
+from fedcox.aggregation import AggregationMethod
 from fedcox.cli import (
+    fed_config,
     load_config,
     main,
     read_param_records,
     write_param_records,
 )
 from fedcox.numerics import DiagGaussian
+from fedcox.orchestrator import FedConfig
 
 SMALL_CONFIG = {
     "seed": 5,
@@ -86,6 +89,22 @@ class TestConfig:
         path.write_text(yaml.safe_dump({"seed": 1}))
         monkeypatch.setenv("FEDPP_SEED", "99")
         assert load_config(str(path), {"seed": 123})["seed"] == 123
+
+
+    def test_unset_keys_take_fed_config_defaults(self, monkeypatch):
+        monkeypatch.delenv("FEDPP_SEED", raising=False)
+        assert fed_config(load_config()) == FedConfig(
+            n_clients=2, participants_per_round=2, rounds=10
+        )
+
+    def test_mmd_without_mmd_keys_takes_aggregation_defaults(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.delenv("FEDPP_SEED", raising=False)
+        path = tmp_path / "mmd.yaml"
+        path.write_text(yaml.safe_dump({"aggregation": "mmd"}))
+        assert fed_config(load_config(str(path))).aggregation == (
+            AggregationMethod("mmd")
+        )
 
 
 class TestGenerate:
@@ -263,6 +282,33 @@ class TestAggregateCommand:
             out = read_param_records(dst)[0]
             np.testing.assert_allclose(out.mean, record.mean, rtol=1e-12)
             np.testing.assert_allclose(out.var, record.var, rtol=1e-9)
+
+    @pytest.mark.parametrize("method", ["kl", "mmd"])
+    def test_large_means_accepted(self, tmp_path, method):
+        records = [
+            DiagGaussian(np.array([-64.6]), np.array([0.26])),
+            DiagGaussian(np.array([-65.2]), np.array([0.62])),
+        ]
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        write_param_records(records, src)
+        assert main(["aggregate", "--method", method, "--in", str(src),
+                     "--out", str(dst)]) == 0
+        assert np.all(read_param_records(dst)[0].var > 0)
+
+    def test_mmd_delta_defaults_to_aggregation_default(self, tmp_path):
+        records = [
+            DiagGaussian(np.array([0.0, 1.0]), np.array([1.0, 0.5])),
+            DiagGaussian(np.array([2.0, -1.0]), np.array([1.0, 2.0])),
+        ]
+        src = tmp_path / "in.json"
+        write_param_records(records, src)
+        outs = []
+        for extra in ([], ["--mmd-delta", "1.0"]):
+            dst = tmp_path / f"out{len(extra)}.json"
+            assert main(["aggregate", "--method", "mmd", "--in", str(src),
+                         "--out", str(dst)] + extra) == 0
+            outs.append(dst.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_unknown_method_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -383,6 +383,20 @@ class TestElbo:
         assert cl.elbo(st, theta, 3, 7) == cl.elbo(st, theta, 3, 7)
         assert cl.elbo(st, theta, 3, 7) != cl.elbo(st, theta, 3, 8)
 
+    def test_elbo_is_negative_full_objective(self):
+        rng = np.random.default_rng(14)
+        st = make_state(rng)
+        theta = random_theta(rng)
+        assert cl.elbo(st, theta, 2, 5) == -cl.local_objective(st, theta, None, 2, 5)
+
+    def test_full_batch_equals_no_batch(self):
+        rng = np.random.default_rng(15)
+        st = make_state(rng)
+        theta = random_theta(rng)
+        full = np.arange(st.n_seqs)
+        assert (cl.local_objective(st, theta, full, 2, 6)
+                == cl.local_objective(st, theta, None, 2, 6))
+
 
 class TestMfviSweepMonotonicity:
     def test_sweep_never_decreases_bound(self):

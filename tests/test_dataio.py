@@ -138,6 +138,13 @@ class TestSimulateClient:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.times, sb.times)
 
+    def test_single_sequence_is_simulate_sgcp(self):
+        kernel = RbfSpec(1.5, 0.1)
+        seq, (grid, lam) = simulate_sgcp(40.0, kernel, 1.0, 17, nu=0.3)
+        seqs, (grid_c, lam_c) = simulate_client(40.0, kernel, 1.0, 1, 17, nu=0.3)
+        assert np.array_equal(seq.times, seqs[0].times)
+        assert np.array_equal(grid, grid_c) and np.array_equal(lam, lam_c)
+
 
 class TestSuperpose:
     def test_empty_b_returns_a(self):
@@ -228,6 +235,24 @@ class TestJsonl:
         path.write_text('{"times": [0.1], "horizon": 1.0}\n' + record + "\n")
         with pytest.raises(ValueError, match="line 2"):
             load_jsonl(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"times": ["x"], "horizon": 1.0}',
+        '{"times": 0.5, "horizon": 1.0}',
+        '{"times": [0.1, 0.2], "marks": [1.5, 2.7], "horizon": 1.0}',
+        '{"times": [0.1, 0.2], "marks": [[1], [2, 3]], "horizon": 1.0}',
+    ], ids=["non-numeric-times", "scalar-times", "fractional-marks",
+            "ragged-marks"])
+    def test_malformed_record_names_line(self, tmp_path, record):
+        path = tmp_path / "malformed.jsonl"
+        path.write_text('{"times": [0.1], "horizon": 1.0}\n' + record + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_jsonl(path)
+
+    def test_integral_float_marks_accepted(self, tmp_path):
+        path = tmp_path / "marks.jsonl"
+        path.write_text('{"times": [0.1, 0.2], "marks": [1.0, 2], "horizon": 1.0}\n')
+        np.testing.assert_array_equal(load_jsonl(path)[0].marks, [1, 2])
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.jsonl"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fedcox.numerics import (
     DiagGaussian,
     FactorizationError,
-    SpdMatrix,
+    chol_factor_jittered,
     chol_solve,
     kl_diag,
     mmd_rbf,
@@ -269,14 +269,12 @@ class TestCholSolve:
         x = chol_solve(a, b)
         np.testing.assert_allclose(a @ x, b, atol=1e-8)
 
-    def test_spdmatrix_records_jitter(self):
-        clean = SpdMatrix(np.eye(2))
-        chol_solve(clean, np.ones(2))
-        assert clean.jitter == 0.0
+    def test_factor_records_jitter(self):
+        _, clean = chol_factor_jittered(np.eye(2))
+        assert clean == 0.0
         # Rank-deficient: factorization succeeds only once jitter engages.
-        degenerate = SpdMatrix(np.ones((3, 3)))
-        chol_solve(degenerate, np.ones(3))
-        assert degenerate.jitter > 0
+        _, degenerate = chol_factor_jittered(np.ones((3, 3)))
+        assert degenerate > 0
 
     def test_roundtrip_conditioned(self):
         rng = np.random.default_rng(9)
@@ -294,10 +292,6 @@ class TestCholSolve:
         a = np.array([[1.0, 0.0], [0.0, -5.0]])  # indefinite beyond max jitter
         with pytest.raises(FactorizationError, match="doomed gram"):
             chol_solve(a, np.ones(2), label="doomed gram")
-
-    def test_spd_matrix_validation(self):
-        with pytest.raises(ValueError):
-            SpdMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
 
 
 class TestTrapezoidGrid:
