@@ -28,7 +28,7 @@ from .aggregation import (
     aggregate,
 )
 from .kernel import PACKING_VERSION, EncoderSpec
-from .numerics import DiagGaussian, trapezoid_grid
+from .numerics import DiagGaussian
 from .orchestrator import FedConfig, run_training
 
 __all__ = ["main", "load_config", "read_param_records", "write_param_records"]
@@ -37,13 +37,6 @@ log = logging.getLogger(__name__)
 
 METRICS_HEADER = "round,participants,mean_test_loglik,mean_elbo,wall_time_ms"
 
-_TOP_KEYS = {
-    "seed", "clients", "participants", "rounds", "local_epochs", "batch_size",
-    "step_size", "straggle_period", "aggregation", "mmd_delta", "mmd_steps",
-    "mmd_eta", "n_inducing", "quad_nodes", "n_w_samples", "hidden_dim",
-    "embed_dim", "n_workers", "eval_all", "split", "event_types",
-    "types_per_client", "generate",
-}
 _GEN_KEYS = {"m", "horizon", "train_seqs", "test_seqs", "kernels", "grid_size"}
 
 # Keys that only the CLI reads, and the CLI's smaller run size; every
@@ -65,6 +58,14 @@ _DEFAULT_CONFIG = {
 }
 # Config keys named differently from their FedConfig field.
 _FED_FIELDS = {"clients": "n_clients", "participants": "participants_per_round"}
+# One config key per FedConfig field; the accepted keys add the mmd_*
+# knobs of the aggregation rule and the keys that only the CLI reads.
+_FED_KEYS = (
+    {f.name for f in dataclasses.fields(FedConfig)} - set(_FED_FIELDS.values())
+) | set(_FED_FIELDS)
+_TOP_KEYS = _FED_KEYS | set(_MMD_DEFAULTS) | {
+    "split", "event_types", "types_per_client", "generate",
+}
 
 
 class ConfigError(ValueError):
@@ -99,7 +100,11 @@ def load_config(path=None, overrides=None) -> dict:
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
-    _validate_config(cfg)
+    try:
+        _validate_config(cfg)
+    except (TypeError, ValueError) as exc:
+        # A wrong-typed value fails a comparison with TypeError.
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -124,19 +129,14 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError("time split requires event_types and types_per_client")
         if k_per >= k_types:
             raise ConfigError("types_per_client must be < event_types")
-    try:
-        fed_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    fed_config(cfg)
 
 
 def fed_config(cfg: dict) -> FedConfig:
-    fields = {f.name for f in dataclasses.fields(FedConfig)} - {"aggregation"}
-    kwargs = {}
-    for key, value in cfg.items():
-        name = _FED_FIELDS.get(key, key)
-        if name in fields:
-            kwargs[name] = value
+    kwargs = {
+        _FED_FIELDS.get(key, key): value for key, value in cfg.items()
+        if key in _FED_KEYS and key != "aggregation"
+    }
     kind = cfg["aggregation"]
     mmd = {k: cfg.get(k) for k in _MMD_DEFAULTS} if kind == "mmd" else {}
     return FedConfig(aggregation=AggregationMethod(kind, **mmd), **kwargs)
@@ -187,18 +187,16 @@ def _gaussian_json(g: DiagGaussian) -> dict:
     return {"mean": g.mean.tolist(), "var": g.var.tolist()}
 
 
-def save_model(path, server, clients, horizon, train_window, eval_interval):
-    spec = clients[0].spec
+def save_model(path, server, clients, cfg, horizon, train_window,
+               eval_interval):
+    """Write the trained model and the resolved config (``cfg``) of its run."""
     payload = {
         "version": PACKING_VERSION,
+        "config": cfg,
         "horizon": horizon,
         "train_window": train_window,
         "eval_interval": list(eval_interval),
-        "encoder": {
-            "hidden_dim": spec.hidden_dim,
-            "output_dim": spec.output_dim,
-            "t_norm": spec.t_norm,
-        },
+        "encoder": dataclasses.asdict(clients[0].spec),
         "theta": _gaussian_json(server.theta),
         "round": server.round,
         "clients": [
@@ -222,6 +220,7 @@ def save_model(path, server, clients, horizon, train_window, eval_interval):
 
 
 def load_model(path):
+    """The saved run config and each client's predictive state."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version")
@@ -229,39 +228,20 @@ def load_model(path):
         raise ValueError(
             f"model version {version!r} does not match {PACKING_VERSION!r}"
         )
-    enc = payload["encoder"]
-    spec = EncoderSpec(
-        hidden_dim=enc["hidden_dim"], output_dim=enc["output_dim"],
-        t_norm=enc["t_norm"],
-    )
-    grid = trapezoid_grid(payload["train_window"], 8)
-    clients = []
-    for rec in payload["clients"]:
-        phi = DiagGaussian(np.asarray(rec["phi"]["mean"]),
-                           np.asarray(rec["phi"]["var"]))
-        q_u = cl.InducingPosterior(
-            locations=np.asarray(rec["inducing"]["locations"]),
-            mean=np.asarray(rec["inducing"]["mean"]),
-            cov=np.asarray(rec["inducing"]["cov"]),
+    if "config" not in payload:
+        raise ValueError(
+            f"model file {path} has no 'config' key; retrain to record it"
         )
-        clients.append(
-            cl.ClientState(
-                id=rec["id"], train_seqs=[], grid=grid, spec=spec,
-                m=rec["m"], nu=rec["nu"], phi=phi, q_u=q_u,
-                pg=np.empty(0),
-                latent_rate=np.zeros(grid.size),
-                latent_c=np.zeros(grid.size),
-            )
+    spec = EncoderSpec(**payload["encoder"])
+    clients = [
+        cl.PredictiveState(
+            id=rec["id"], spec=spec, m=rec["m"], nu=rec["nu"],
+            phi=DiagGaussian(**rec["phi"]),
+            q_u=cl.InducingPosterior(**rec["inducing"]),
         )
-    theta = DiagGaussian(np.asarray(payload["theta"]["mean"]),
-                         np.asarray(payload["theta"]["var"]))
-    return {
-        "theta": theta,
-        "clients": clients,
-        "horizon": payload["horizon"],
-        "train_window": payload["train_window"],
-        "eval_interval": tuple(payload["eval_interval"]),
-    }
+        for rec in payload["clients"]
+    ]
+    return payload["config"], clients
 
 
 # ----------------------------------------------------------------------
@@ -327,34 +307,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_sequence_dataset(data_dir, n_clients):
-    data_dir = Path(data_dir)
-    with open(data_dir / "metadata.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    train_sets, test_sets = [], []
-    for cid in range(n_clients):
-        train_sets.append(dataio.load_jsonl(data_dir / f"client_{cid:02d}.train.jsonl"))
-        test_path = data_dir / f"client_{cid:02d}.test.jsonl"
-        test_sets.append(dataio.load_jsonl(test_path) if test_path.exists() else [])
-    horizon = float(meta["horizon"])
-    return train_sets, test_sets, horizon, horizon, (0.0, horizon)
+def _load_dataset(data, cfg):
+    """Client train and test sets, horizon, training window, eval interval.
 
-
-def _load_time_dataset(data_path, cfg):
-    seqs = dataio.load_jsonl(data_path)
-    split = dataio.normalize_and_split(seqs)
-    plan_train = dataio.partition_heterogeneous(
-        split.train, cfg["event_types"], cfg["types_per_client"],
-        cfg["clients"], cfg["seed"],
-    )
-    plan_test = dataio.partition_heterogeneous(
-        split.test, cfg["event_types"], cfg["types_per_client"],
-        cfg["clients"], cfg["seed"],
-    )
-    train_sets = [plan_train.client_seqs[c] for c in range(cfg["clients"])]
-    test_sets = [plan_test.client_seqs[c] for c in range(cfg["clients"])]
+    With ``split: sequence``, ``data`` is a directory written by
+    ``generate``.  With ``split: time`` it is one marked JSONL file, split
+    by timestamp and partitioned across clients by event type.
+    """
+    n_clients = cfg["clients"]
+    if cfg["split"] == "sequence":
+        data_dir = Path(data)
+        with open(data_dir / "metadata.json", "r", encoding="utf-8") as fh:
+            horizon = float(json.load(fh)["horizon"])
+        train_sets, test_sets = [], []
+        for cid in range(n_clients):
+            train_sets.append(dataio.load_jsonl(data_dir / f"client_{cid:02d}.train.jsonl"))
+            test_path = data_dir / f"client_{cid:02d}.test.jsonl"
+            test_sets.append(dataio.load_jsonl(test_path) if test_path.exists() else [])
+        return train_sets, test_sets, horizon, horizon, (0.0, horizon)
+    split = dataio.normalize_and_split(dataio.load_jsonl(data))
+    sets = []
+    for part in (split.train, split.test):
+        plan = dataio.partition_heterogeneous(
+            part, cfg["event_types"], cfg["types_per_client"], n_clients,
+            cfg["seed"],
+        )
+        sets.append([plan.client_seqs[c] for c in range(n_clients)])
     lo, hi = split.boundaries
-    return train_sets, test_sets, split.horizon, lo, (hi, split.horizon)
+    return sets[0], sets[1], split.horizon, lo, (hi, split.horizon)
 
 
 def cmd_train(args) -> int:
@@ -369,14 +349,9 @@ def cmd_train(args) -> int:
     }
     cfg = load_config(args.config, overrides)
     config = fed_config(cfg)
-    if cfg["split"] == "sequence":
-        train_sets, test_sets, horizon, window, interval = _load_sequence_dataset(
-            args.data, config.n_clients
-        )
-    else:
-        train_sets, test_sets, horizon, window, interval = _load_time_dataset(
-            args.data, cfg
-        )
+    train_sets, test_sets, horizon, window, interval = _load_dataset(
+        args.data, cfg
+    )
     metrics_path = Path(args.metrics)
     metrics_path.parent.mkdir(parents=True, exist_ok=True)
     with open(metrics_path, "w", encoding="utf-8") as fh:
@@ -398,18 +373,16 @@ def cmd_train(args) -> int:
             train_window=window,
         )
     if args.model:
-        save_model(args.model, server, clients, horizon, window, interval)
+        save_model(args.model, server, clients, cfg, horizon, window, interval)
     print(f"completed {len(history)} rounds; metrics in {metrics_path}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    n_clients = len(model["clients"])
-    _, test_sets, *_ = _load_sequence_dataset(args.data, n_clients)
-    interval = model["eval_interval"]
+    cfg, states = load_model(args.model)
+    _, test_sets, _, _, interval = _load_dataset(args.data, cfg)
     values = []
-    for state, test_seqs in zip(model["clients"], test_sets):
+    for state, test_seqs in zip(states, test_sets):
         if not test_seqs:
             values.append(float("nan"))
             continue

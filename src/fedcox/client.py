@@ -41,6 +41,7 @@ from .numerics import (
 __all__ = [
     "InducingPosterior",
     "ClientState",
+    "PredictiveState",
     "init_client",
     "derive_seed",
     "draw_w_samples",
@@ -103,22 +104,19 @@ class ClientState:
     latent_c: np.ndarray
     n_w_samples: int = 4
     diagnostics: dict = field(default_factory=dict)
-    events: np.ndarray = None
-    seq_slices: list = None
+    events: np.ndarray = field(init=False)
+    seq_slices: list = field(init=False)
 
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError("scale m must be positive")
-        if self.events is None:
-            times, slices, start = [], [], 0
-            for seq in self.train_seqs:
-                times.append(seq.times)
-                slices.append(slice(start, start + len(seq)))
-                start += len(seq)
-            self.events = (
-                np.concatenate(times) if times else np.empty(0)
-            )
-            self.seq_slices = slices
+        times, slices, start = [], [], 0
+        for seq in self.train_seqs:
+            times.append(seq.times)
+            slices.append(slice(start, start + len(seq)))
+            start += len(seq)
+        self.events = np.concatenate(times) if times else np.empty(0)
+        self.seq_slices = slices
         if self.pg.shape != self.events.shape:
             raise ValueError("pg must hold one value per training event")
         q = self.grid.size
@@ -130,6 +128,22 @@ class ClientState:
     @property
     def n_seqs(self) -> int:
         return len(self.train_seqs)
+
+
+@dataclass(frozen=True)
+class PredictiveState:
+    """The part of a trained client that prediction reads.
+
+    :func:`intensity`, :func:`posterior_f_moments` and :func:`test_loglik`
+    accept this or a :class:`ClientState`, which has the same attributes.
+    """
+
+    id: int
+    spec: EncoderSpec
+    m: float
+    nu: float
+    phi: DiagGaussian
+    q_u: InducingPosterior
 
 
 def derive_seed(*parts) -> int:
@@ -294,7 +308,7 @@ def _mixture_moments(caches):
     return means.mean(axis=0), second.mean(axis=0)
 
 
-def posterior_f_moments(state: ClientState, w, times):
+def posterior_f_moments(state: ClientState | PredictiveState, w, times):
     """Posterior mean and variance of the process at ``times``.
 
     ``w`` may be a single packed vector or a sample matrix; with several
@@ -543,11 +557,11 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     w = state.phi.mean + std * eps
     caches = _caches(state, w, times, with_tape=True)
 
-    # Linear coefficients of E[f] (a) and -E[f^2]/2 (b) per evaluation time.
-    pg_ev = pg_mean(state.pg[idx]) if idx.size else np.empty(0)
-    lam_w = state.n_seqs * state.grid.weights * state.latent_rate
-    a_t = np.concatenate([np.full(idx.size, 0.5 * scale), -0.5 * lam_w])
-    b_t = np.concatenate([scale * pg_ev, lam_w * pg_mean(state.latent_c)])
+    # Linear coefficients of E[f] (a_t) and -E[f^2]/2 (b_t) per evaluation
+    # time: the B and A densities, event terms rescaled to the batch.
+    a_ev, b_ev, a_gr, b_gr = _ab_coefficients(state)
+    a_t = np.concatenate([scale * b_ev[idx], b_gr])
+    b_t = np.concatenate([scale * a_ev[idx], a_gr])
 
     sigma_u = state.q_u.cov
     grad_w = np.zeros((len(caches), state.phi.dim))
@@ -649,7 +663,7 @@ def _expected_sigmoid(mean, var, order=GAUSS_HERMITE_ORDER):
     return expit(f) @ w
 
 
-def intensity(state: ClientState, times, w=None) -> np.ndarray:
+def intensity(state: ClientState | PredictiveState, times, w=None) -> np.ndarray:
     """Posterior predictive intensity m E[sigmoid(f(t))] at ``times``.
 
     The expectation over f uses 20-node Gauss-Hermite quadrature on the
@@ -661,7 +675,8 @@ def intensity(state: ClientState, times, w=None) -> np.ndarray:
     return state.m * _expected_sigmoid(mean, var)
 
 
-def test_loglik(state: ClientState, test_seqs, interval, n_quad: int = 200) -> float:
+def test_loglik(state: ClientState | PredictiveState, test_seqs, interval,
+                n_quad: int = 200) -> float:
     """Average held-out log-likelihood over sequences on ``interval``.
 
     Per sequence: sum of log intensity at its events minus the integrated

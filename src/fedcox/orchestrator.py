@@ -241,11 +241,14 @@ def run_round(server: ServerState, clients, config: FedConfig,
     logliks = tuple(p.test_loglik for p in payloads)
     pool_logliks = list(logliks)
     if config.eval_all and test_sets:
-        # Full-population evaluation: non-participants are scored read-only
-        # on their unchanged states.
+        # Full-population evaluation: participants keep their upload's score,
+        # non-participants are scored read-only on their unchanged states.
+        scored = dict(zip(participants, logliks))
         pool_logliks = [
-            cl.test_loglik(clients[cid], test_sets[cid], eval_interval)
-            if test_sets[cid] else float("nan")
+            scored[cid] if cid in scored else (
+                cl.test_loglik(clients[cid], test_sets[cid], eval_interval)
+                if test_sets[cid] else float("nan")
+            )
             for cid in range(config.n_clients)
         ]
     finite = [x for x in pool_logliks if np.isfinite(x)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from fedcox import cli
 from fedcox.aggregation import AggregationMethod
 from fedcox.cli import (
     fed_config,
@@ -46,6 +47,37 @@ def data_dir(tmp_path, config_path):
     out = tmp_path / "data"
     assert main(["generate", "--config", config_path, "--out", str(out)]) == 0
     return str(out)
+
+
+@pytest.fixture()
+def sequence_layout(config_path, data_dir):
+    return config_path, data_dir
+
+
+@pytest.fixture()
+def time_layout(tmp_path):
+    """Config and data of a ``split: time`` run.
+
+    One marked JSONL file; timelines get normalized to [0, 100], split at
+    60/80 and partitioned by event type across clients.
+    """
+    rng = np.random.default_rng(0)
+    records = []
+    for _ in range(6):
+        n = int(rng.integers(20, 40))
+        times = np.sort(rng.uniform(0, 50, n))
+        marks = rng.integers(0, 4, n)
+        records.append(json.dumps({
+            "times": times.tolist(), "marks": marks.tolist(),
+            "horizon": 50.0,
+        }))
+    data = tmp_path / "events.jsonl"
+    data.write_text("\n".join(records) + "\n")
+    cfg = dict(SMALL_CONFIG)
+    cfg.update({"split": "time", "event_types": 4, "types_per_client": 2})
+    cfg_path = tmp_path / "cfg_time.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    return str(cfg_path), str(data)
 
 
 class TestConfig:
@@ -96,6 +128,30 @@ class TestConfig:
         assert fed_config(load_config()) == FedConfig(
             n_clients=2, participants_per_round=2, rounds=10
         )
+
+    @pytest.mark.parametrize("bad", [
+        {"rounds": None},
+        {"n_w_samples": "4"},
+        {"generate": {"m": None}},
+    ], ids=["rounds-null", "n_w_samples-string", "generate-m-null"])
+    def test_wrong_typed_value_exits_2(self, tmp_path, bad):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(bad))
+        assert main(["train", "--config", str(path), "--data", "x",
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+
+    def test_accepted_keys(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FEDPP_SEED", raising=False)
+        every_key = dict(
+            SMALL_CONFIG, straggle_period=1, aggregation="mmd",
+            mmd_delta=1.0, mmd_steps=5, mmd_eta=0.01, n_workers=1,
+            eval_all=False, split="time", event_types=4, types_per_client=2,
+        )
+        assert len(every_key) == 23
+        assert cli._TOP_KEYS == set(every_key)
+        path = tmp_path / "all.yaml"
+        path.write_text(yaml.safe_dump(every_key))
+        assert load_config(str(path))["mmd_steps"] == 5
 
     def test_mmd_without_mmd_keys_takes_aggregation_defaults(self, tmp_path,
                                                              monkeypatch):
@@ -185,28 +241,11 @@ class TestTrain:
                      "--metrics", str(metrics), "--rounds", "1"]) == 0
         assert len(metrics.read_text().strip().splitlines()) == 2
 
-    def test_time_split_workflow(self, tmp_path):
-        # One marked JSONL file; timelines get normalized to [0, 100],
-        # split at 60/80 and partitioned by event type across clients.
-        rng = np.random.default_rng(0)
-        records = []
-        for _ in range(6):
-            n = int(rng.integers(20, 40))
-            times = np.sort(rng.uniform(0, 50, n))
-            marks = rng.integers(0, 4, n)
-            records.append(json.dumps({
-                "times": times.tolist(), "marks": marks.tolist(),
-                "horizon": 50.0,
-            }))
-        data = tmp_path / "events.jsonl"
-        data.write_text("\n".join(records) + "\n")
-        cfg = dict(SMALL_CONFIG)
-        cfg.update({"split": "time", "event_types": 4, "types_per_client": 2})
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
+    def test_time_split_workflow(self, tmp_path, time_layout):
+        cfg_path, data = time_layout
         metrics = tmp_path / "metrics.csv"
         model = tmp_path / "model.json"
-        assert main(["train", "--config", str(cfg_path), "--data", str(data),
+        assert main(["train", "--config", cfg_path, "--data", data,
                      "--metrics", str(metrics), "--model", str(model)]) == 0
         lines = metrics.read_text().strip().splitlines()
         assert len(lines) == 3
@@ -218,19 +257,35 @@ class TestTrain:
 
 
 class TestEval:
-    def test_reproduces_final_round_metric(self, tmp_path, config_path,
-                                           data_dir, capsys):
+    @pytest.mark.parametrize("split", ["sequence", "time"])
+    def test_reproduces_final_round_metric(self, tmp_path, split, request,
+                                           capsys):
+        config, data = request.getfixturevalue(f"{split}_layout")
         metrics = tmp_path / "metrics.csv"
         model = tmp_path / "model.json"
-        assert main(["train", "--config", config_path, "--data", data_dir,
+        assert main(["train", "--config", config, "--data", data,
                      "--metrics", str(metrics), "--model", str(model)]) == 0
         final_row = metrics.read_text().strip().splitlines()[-1].split(",")
         final_mean = float(final_row[2])
+        assert np.isfinite(final_mean)
         capsys.readouterr()
-        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
+        assert main(["eval", "--model", str(model), "--data", data]) == 0
         out = capsys.readouterr().out
         reported = float(out.strip().splitlines()[-1].split()[-1])
         assert reported == pytest.approx(final_mean, abs=1e-9)
+
+    def test_model_without_config_rejected(self, tmp_path, config_path,
+                                           data_dir, capsys):
+        model = tmp_path / "model.json"
+        metrics = tmp_path / "m.csv"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(metrics), "--model", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        del payload["config"]
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
+        assert "'config'" in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, tmp_path, data_dir):
         assert main(["eval", "--model", str(tmp_path / "nope.json"),

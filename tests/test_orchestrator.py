@@ -281,6 +281,27 @@ class TestEvalAll:
         assert len(metrics.per_client_loglik) == 1
         assert np.isfinite(metrics.mean_test_loglik)
 
+    def test_each_client_scored_once_per_round(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        data = tiny_dataset(rng, 4)
+        tests = tiny_dataset(rng, 4, n_seqs=1)
+        config = tiny_config(n_clients=4, participants_per_round=2,
+                             eval_all=True)
+        original = cl.test_loglik
+        scored = []
+
+        def counting(state, *args, **kwargs):
+            scored.append(state.id)
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr("fedcox.orchestrator.cl.test_loglik", counting)
+        history, _, clients = run_training(config, data, 1.0, tests)
+        assert sorted(scored) == sorted(list(range(4)) * config.rounds)
+        # Participants' upload scores equal a rescoring of their new states.
+        assert history[-1].mean_test_loglik == np.mean(
+            [original(c, tests[c.id], (0.0, 1.0)) for c in clients]
+        )
+
 
 class TestShippedDefaults:
     def test_default_configuration_accepted(self):
