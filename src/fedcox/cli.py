@@ -37,7 +37,7 @@ log = logging.getLogger(__name__)
 
 METRICS_HEADER = "round,participants,mean_test_loglik,mean_elbo,wall_time_ms"
 
-_GEN_KEYS = {"m", "horizon", "train_seqs", "test_seqs", "kernels", "grid_size"}
+_GEN_KEYS = {"m", "horizon", "train_seqs", "test_seqs", "kernels"}
 
 # Keys that only the CLI reads, and the CLI's smaller run size; every
 # other key left out of a config takes FedConfig's default.
@@ -146,27 +146,38 @@ def fed_config(cfg: dict) -> FedConfig:
 # Parameter-record files (the standalone aggregation surface)
 # ----------------------------------------------------------------------
 
-def write_param_records(records, path) -> None:
-    payload = {
-        "version": PACKING_VERSION,
-        "dim": records[0].dim,
-        "records": [
-            {"mean": r.mean.tolist(), "var": r.var.tolist()} for r in records
-        ],
-    }
+def _write_versioned(path, payload: dict) -> None:
+    """Write ``payload`` as one JSON line headed by ``PACKING_VERSION``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump({"version": PACKING_VERSION, **payload}, fh)
         fh.write("\n")
 
 
-def read_param_records(path) -> list:
+def _read_versioned(path, what: str) -> dict:
+    """Read a file written by :func:`_write_versioned`; ``what`` names it."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version")
     if version != PACKING_VERSION:
         raise ValueError(
-            f"parameter record version {version!r} does not match {PACKING_VERSION!r}"
+            f"{what} version {version!r} does not match {PACKING_VERSION!r}"
         )
+    return payload
+
+
+def _gaussian_json(g: DiagGaussian) -> dict:
+    return {"mean": g.mean.tolist(), "var": g.var.tolist()}
+
+
+def write_param_records(records, path) -> None:
+    _write_versioned(path, {
+        "dim": records[0].dim,
+        "records": [_gaussian_json(r) for r in records],
+    })
+
+
+def read_param_records(path) -> list:
+    payload = _read_versioned(path, "parameter record")
     dim = payload["dim"]
     records = []
     for i, rec in enumerate(payload["records"]):
@@ -183,15 +194,10 @@ def read_param_records(path) -> list:
 # Model container
 # ----------------------------------------------------------------------
 
-def _gaussian_json(g: DiagGaussian) -> dict:
-    return {"mean": g.mean.tolist(), "var": g.var.tolist()}
-
-
 def save_model(path, server, clients, cfg, horizon, train_window,
                eval_interval):
     """Write the trained model and the resolved config (``cfg``) of its run."""
-    payload = {
-        "version": PACKING_VERSION,
+    _write_versioned(path, {
         "config": cfg,
         "horizon": horizon,
         "train_window": train_window,
@@ -213,21 +219,12 @@ def save_model(path, server, clients, cfg, horizon, train_window,
             }
             for c in clients
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    })
 
 
 def load_model(path):
     """The saved run config and each client's predictive state."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("version")
-    if version != PACKING_VERSION:
-        raise ValueError(
-            f"model version {version!r} does not match {PACKING_VERSION!r}"
-        )
+    payload = _read_versioned(path, "model")
     if "config" not in payload:
         raise ValueError(
             f"model file {path} has no 'config' key; retrain to record it"

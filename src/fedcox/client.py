@@ -164,9 +164,7 @@ def draw_w_samples(phi: DiagGaussian, n_samples: int, noise_seed: int) -> np.nda
 
 
 def _w_matrix(w, spec: EncoderSpec) -> np.ndarray:
-    """Accept a packed vector, a sample matrix, or KernelParams."""
-    if isinstance(w, KernelParams):
-        w = w.packed
+    """Accept a packed vector or a sample matrix."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim == 1:
         w = w[None, :]
@@ -183,21 +181,18 @@ class _InducingBlocks:
     They depend on the sample and the inducing locations only, so one
     instance serves every set of evaluation times and every q(u) under
     that sample.  Kzz^-1 is solved against the identity on first use.
+    The embedding tape of the inducing points feeds the parameter gradient.
     """
 
     __slots__ = ("params", "tape_z", "h_z", "d2_zz", "k_zz", "factor",
                  "jitter", "logdet_kzz", "_kzz_inv")
 
-    def __init__(self, state: ClientState, w_row: np.ndarray, with_tape: bool):
-        spec = state.spec
-        z = state.q_u.locations
-        self.params = KernelParams(w_row, spec)
-        if with_tape:
-            self.tape_z = dk.embed_with_tape(z, self.params, spec)
-            self.h_z = self.tape_z.out
-        else:
-            self.tape_z = None
-            self.h_z = dk.embed(z, self.params, spec)
+    def __init__(self, state: ClientState, w_row: np.ndarray):
+        self.params = KernelParams(w_row, state.spec)
+        self.tape_z = dk.embed_with_tape(
+            state.q_u.locations, self.params, state.spec
+        )
+        self.h_z = self.tape_z.out
         ell2 = self.params.length_scale ** 2
         self.d2_zz = dk._sqdist(self.h_z, self.h_z)
         self.k_zz = self.params.r * np.exp(-0.5 * self.d2_zz / ell2)
@@ -214,28 +209,6 @@ class _InducingBlocks:
         return self._kzz_inv
 
 
-class _SweepBlocks:
-    """Inducing-point blocks shared by the updates of one coordinate sweep.
-
-    Built on first use from the sample matrix ``w`` it was made for, so
-    the work falls inside whichever update runs first; every caller must
-    pass that same ``w`` object.
-    """
-
-    __slots__ = ("w", "_blocks")
-
-    def __init__(self, w):
-        self.w = w
-        self._blocks = None
-
-    def get(self, state: ClientState, w) -> list:
-        if w is not self.w:
-            raise ValueError("shared blocks were built for other kernel samples")
-        if self._blocks is None:
-            self._blocks = _inducing_blocks(state, w)
-        return self._blocks
-
-
 class _SampleCache:
     """Kernel blocks and posterior moments at ``times`` for one sample.
 
@@ -244,11 +217,12 @@ class _SampleCache:
 
     Bit-identity contract: reuse is limited to blocks whose floats do not
     depend on which call computes them.  Inducing-point blocks depend on
-    the sample alone and may be shared (see :class:`_SweepBlocks`).  The
-    time-side embedding, cross block, triangular solve and GEMMs are
-    computed per call on that call's rows only: BLAS can return different
-    last bits for the same row at a different offset in its operand, so
-    slicing them out of a larger events+grid build is not exact.
+    the sample alone and may be shared (:func:`client_update` builds them
+    once per sweep).  The time-side embedding, cross block, triangular
+    solve and GEMMs are computed per call on that call's rows only: BLAS
+    can return different last bits for the same row at a different offset
+    in its operand, so slicing them out of a larger events+grid build is
+    not exact.
     Distances come from :func:`fedcox.kernel._sqdist`, which matches the
     broadcast sum bit for bit.  Training amplifies any last-bit change
     into visibly different parameters, so a rewrite here must keep every
@@ -260,15 +234,10 @@ class _SampleCache:
     )
 
     def __init__(self, state: ClientState, z: _InducingBlocks,
-                 times: np.ndarray, with_tape: bool):
-        spec = state.spec
+                 times: np.ndarray):
         self.z = z
-        if with_tape:
-            self.tape_t = dk.embed_with_tape(times, z.params, spec)
-            h_t = self.tape_t.out
-        else:
-            self.tape_t = None
-            h_t = dk.embed(times, z.params, spec)
+        self.tape_t = dk.embed_with_tape(times, z.params, state.spec)
+        h_t = self.tape_t.out
         ell2 = z.params.length_scale ** 2
         r = z.params.r
         self.d2_tz = dk._sqdist(h_t, z.h_z)
@@ -286,19 +255,14 @@ class _SampleCache:
         self.var = r - explained + smoothed
 
 
-def _inducing_blocks(state, w, with_tape=False):
-    return [
-        _InducingBlocks(state, row, with_tape)
-        for row in _w_matrix(w, state.spec)
-    ]
+def _inducing_blocks(state, w):
+    return [_InducingBlocks(state, row) for row in _w_matrix(w, state.spec)]
 
 
-def _caches(state, w, times, with_tape=False, shared=None):
-    blocks = (
-        _inducing_blocks(state, w, with_tape) if shared is None
-        else shared.get(state, w)
-    )
-    return [_SampleCache(state, b, times, with_tape) for b in blocks]
+def _caches(state, w, times, blocks=None):
+    if blocks is None:
+        blocks = _inducing_blocks(state, w)
+    return [_SampleCache(state, b, times) for b in blocks]
 
 
 def _mixture_moments(caches):
@@ -324,28 +288,28 @@ def posterior_f_moments(state: ClientState | PredictiveState, w, times):
     return ef, np.maximum(var, 1e-12)
 
 
-def update_pg(state: ClientState, w, shared=None) -> np.ndarray:
+def update_pg(state: ClientState, w, blocks=None) -> np.ndarray:
     """Tilt the per-event Polya-Gamma parameters to sqrt(E[f^2]).
 
-    ``shared`` (optional) carries the inducing-point blocks of ``w`` across
-    the updates of one sweep, as :func:`client_update` does; results are
-    bit-identical either way.
+    ``blocks`` (optional) are the inducing-point blocks of ``w``, built
+    once and shared by the updates of one sweep, as :func:`client_update`
+    does; results are bit-identical either way.
     """
     if state.events.size:
-        caches = _caches(state, w, state.events, shared=shared)
+        caches = _caches(state, w, state.events, blocks)
         _, ef2 = _mixture_moments(caches)
         state.pg = np.sqrt(np.maximum(ef2, 0.0))
     return state.pg
 
 
-def update_latent_pp(state: ClientState, w, shared=None) -> np.ndarray:
+def update_latent_pp(state: ClientState, w, blocks=None) -> np.ndarray:
     """Refresh the thinned-process rate and mark parameter on the grid.
 
     rate = m * exp(-E[f]/2) / (2 cosh(c/2)) with c = sqrt(E[f^2]); the
     exponent is clamped to +-60 and clamping is recorded in diagnostics.
-    ``shared`` is as in :func:`update_pg`.
+    ``blocks`` is as in :func:`update_pg`.
     """
-    caches = _caches(state, w, state.grid.nodes, shared=shared)
+    caches = _caches(state, w, state.grid.nodes, blocks)
     ef, ef2 = _mixture_moments(caches)
     state.latent_c = np.sqrt(np.maximum(ef2, 0.0))
     log_rate = math.log(state.m) - 0.5 * ef - log_2cosh(0.5 * state.latent_c)
@@ -374,20 +338,20 @@ def _ab_coefficients(state: ClientState):
     return a_ev, b_ev, a_gr, b_gr
 
 
-def update_inducing(state: ClientState, w, shared=None) -> InducingPosterior:
+def update_inducing(state: ClientState, w, blocks=None) -> InducingPosterior:
     """Closed-form refresh of the sparse posterior at the inducing points.
 
     Natural parameters are averaged over the kernel samples: precision
     Kzz^-1 (Int A k k^T) Kzz^-1 + Kzz^-1 and linear term
     Kzz^-1 (Int B~ k + nu 1) with B~ = B - A (nu - k^T Kzz^-1 nu 1).
-    ``shared`` is as in :func:`update_pg`.
+    ``blocks`` is as in :func:`update_pg`.
     """
     a_ev, b_ev, a_gr, b_gr = _ab_coefficients(state)
     a_all = np.concatenate([a_ev, a_gr])
     b_all = np.concatenate([b_ev, b_gr])
     times = np.concatenate([state.events, state.grid.nodes])
     m_ind = state.q_u.locations.size
-    caches = _caches(state, w, times, shared=shared)
+    caches = _caches(state, w, times, blocks)
     precision = np.zeros((m_ind, m_ind))
     linear = np.zeros(m_ind)
     ones = np.ones(m_ind)
@@ -555,7 +519,7 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     eps = _draw_eps(state.phi.dim, n_w_samples, noise_seed)
     std = state.phi.std()
     w = state.phi.mean + std * eps
-    caches = _caches(state, w, times, with_tape=True)
+    caches = _caches(state, w, times)
 
     # Linear coefficients of E[f] (a_t) and -E[f^2]/2 (b_t) per evaluation
     # time: the B and A densities, event terms rescaled to the batch.
@@ -601,8 +565,8 @@ def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
                   batch_size: int, eta: float, seed: int) -> DiagGaussian:
     """Run the local epochs: coordinate sweep, then mini-batch phi steps.
 
-    Each epoch draws one shared set of kernel samples for the sweep, whose
-    updates also share the samples' inducing-point blocks, then walks
+    Each epoch draws one shared set of kernel samples for the sweep and
+    builds their inducing-point blocks once for its three updates, then walks
     shuffled mini-batches of sequences with per-step fresh noise.
     The phi steps use Adam on (mean, log variance); raw gradients carry
     the event count's scale, which plain constant-step descent cannot
@@ -622,10 +586,10 @@ def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
         w = draw_w_samples(
             state.phi, state.n_w_samples, derive_seed(seed, epoch, 0)
         )
-        shared = _SweepBlocks(w)
-        update_pg(state, w, shared)
-        update_latent_pp(state, w, shared)
-        update_inducing(state, w, shared)
+        blocks = _inducing_blocks(state, w)
+        update_pg(state, w, blocks)
+        update_latent_pp(state, w, blocks)
+        update_inducing(state, w, blocks)
         update_scale(state)
         order = np.random.default_rng(
             derive_seed(seed, epoch, 1)

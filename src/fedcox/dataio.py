@@ -11,11 +11,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
 
-from . import kernel as dk
 from .numerics import chol_factor_jittered, solve_with
 
 __all__ = [
@@ -119,16 +119,6 @@ class RbfSpec:
         return self.variance * np.exp(-0.5 * (a - b) ** 2 / self.length_scale**2)
 
 
-def _gram_fn(kernel):
-    """Normalize the accepted kernel descriptions to a gram callable."""
-    if isinstance(kernel, RbfSpec):
-        return kernel.gram
-    if isinstance(kernel, tuple) and len(kernel) == 2:
-        params, spec = kernel
-        return lambda a, b: dk.kernel_matrix(a, b, params, spec)
-    raise TypeError("kernel must be an RbfSpec or a (params, EncoderSpec) pair")
-
-
 def _sample_gaussian(mean, cov, rng):
     """Joint Gaussian draw robust to numerically singular covariances.
 
@@ -159,54 +149,52 @@ def _sample_gaussian(mean, cov, rng):
     return mean + root @ rng.standard_normal(len(mean))
 
 
-def _conditional_draw(gram, x_new, x_obs, f_obs, nu, rng, obs_factor=None):
-    """One joint draw of f(x_new) given f(x_obs) under a GP(nu, gram).
+def _conditional_draw(kernel, x_new, grid, f_grid, factor, nu, rng):
+    """One joint draw of f(x_new) given f(grid) under a GP(nu, kernel).
 
-    When the observations pin the process (conditional variances below
-    1e-4 of the prior variance everywhere, i.e. residual std under 1% of
-    the prior std) the residual is sampled per-point instead of jointly;
-    the full Schur complement is formed only when it matters.  A
-    prefactorized observation gram can be passed in.
+    ``factor`` is the Cholesky factor of the grid gram.  When the grid
+    pins the process (conditional variances below 1e-4 of the prior
+    variance everywhere, i.e. residual std under 1% of the prior std) the
+    residual is sampled per-point instead of jointly; the full Schur
+    complement is formed only when it matters.
     """
     if len(x_new) == 0:
         return np.empty(0)
-    if len(x_obs) == 0:
-        return _sample_gaussian(
-            np.full(len(x_new), nu), gram(x_new, x_new), rng
-        )
-    if obs_factor is None:
-        obs_factor, _ = chol_factor_jittered(
-            gram(x_obs, x_obs), "conditioning gram"
-        )
-    k_no = gram(x_new, x_obs)
-    alpha = solve_with(obs_factor, f_obs - nu)
+    k_no = kernel.gram(x_new, grid)
+    alpha = solve_with(factor, f_grid - nu)
     mean = nu + k_no @ alpha
-    solved = solve_with(obs_factor, k_no.T)  # (n_obs, n_new)
-    # Both kernel families here have a constant diagonal k(t, t).
-    prior_var = float(gram(x_new[:1], x_new[:1])[0, 0])
+    solved = solve_with(factor, k_no.T)  # (n_grid, n_new)
+    # The RBF kernel's diagonal k(t, t) is its variance.
+    prior_var = kernel.variance
     cond_diag = prior_var - np.einsum("nm,mn->n", k_no, solved)
     if float(np.max(cond_diag)) <= 1e-4 * prior_var:
         std = np.sqrt(np.maximum(cond_diag, 0.0))
         return mean + std * rng.standard_normal(len(mean))
-    cov = gram(x_new, x_new) - k_no @ solved
+    cov = kernel.gram(x_new, x_new) - k_no @ solved
     return _sample_gaussian(mean, cov, rng)
 
 
-# Ground-truth grid gram factors are reusable across seeds for hashable
-# kernel specs; keyed by (kernel, horizon).
-_GRID_FACTOR_CACHE: dict = {}
-
-
-def _grid_and_factor(gram, kernel, horizon):
-    key = (kernel, float(horizon)) if isinstance(kernel, RbfSpec) else None
-    if key is not None and key in _GRID_FACTOR_CACHE:
-        return _GRID_FACTOR_CACHE[key]
+@lru_cache(maxsize=8)
+def _grid_and_factor(kernel: RbfSpec, horizon):
+    """The ground-truth grid and its gram factor, reused across seeds."""
     grid = np.linspace(0.0, horizon, GROUND_TRUTH_GRID)
-    factor, _ = chol_factor_jittered(gram(grid, grid), "ground-truth gram")
-    entry = (grid, factor)
-    if key is not None:
-        _GRID_FACTOR_CACHE[key] = entry
-    return entry
+    factor, _ = chol_factor_jittered(kernel.gram(grid, grid), "ground-truth gram")
+    grid.flags.writeable = False  # every later call returns this array
+    return grid, factor
+
+
+def _check_rate(m, horizon):
+    if m <= 0 or horizon <= 0:
+        raise ValueError("m and horizon must be positive")
+
+
+def _thin(m, horizon, rng, f_at) -> EventSequence:
+    """Thin Poisson(m) candidates on [0, horizon] by sigmoid(f_at(t))."""
+    n_cand = rng.poisson(m * horizon)
+    cand = np.sort(rng.uniform(0.0, horizon, n_cand))
+    f_cand = f_at(cand)  # may draw from rng, so before the survival draws
+    keep = rng.uniform(size=n_cand) < expit(f_cand)
+    return EventSequence(times=cand[keep], horizon=float(horizon))
 
 
 def simulate_sgcp(m, kernel, horizon, seed, nu=0.0, f_override=None):
@@ -220,23 +208,20 @@ def simulate_sgcp(m, kernel, horizon, seed, nu=0.0, f_override=None):
     be reused across seeds).
 
     ``f_override``: optional callable t -> f(t) replacing the GP draw, for
-    fixed-function sampling in statistical checks.  Without it this is
-    :func:`simulate_client` with one sequence.
+    fixed-function sampling in statistical checks; ``kernel`` is then
+    unused.  Without it this is :func:`simulate_client` with one sequence.
     """
     if f_override is None:
         seqs, truth = simulate_client(m, kernel, horizon, 1, seed, nu)
         return seqs[0], truth
-    if m <= 0 or horizon <= 0:
-        raise ValueError("m and horizon must be positive")
-    rng = np.random.default_rng(seed)
+    _check_rate(m, horizon)
+
+    def f_at(t):
+        return np.asarray(f_override(t), dtype=np.float64)
+
+    seq = _thin(m, horizon, np.random.default_rng(seed), f_at)
     grid = np.linspace(0.0, horizon, GROUND_TRUTH_GRID)
-    n_cand = rng.poisson(m * horizon)
-    cand = np.sort(rng.uniform(0.0, horizon, n_cand))
-    f_cand = np.asarray(f_override(cand), dtype=np.float64)
-    f_grid = np.asarray(f_override(grid), dtype=np.float64)
-    keep = rng.uniform(size=n_cand) < expit(f_cand)
-    seq = EventSequence(times=cand[keep], horizon=float(horizon))
-    return seq, (grid, m * expit(f_grid))
+    return seq, (grid, m * expit(f_at(grid)))
 
 
 def simulate_client(m, kernel, horizon, n_seqs, seed, nu=0.0):
@@ -245,26 +230,22 @@ def simulate_client(m, kernel, horizon, n_seqs, seed, nu=0.0):
     f is drawn once on the ground-truth grid; each sequence's candidates
     get f values by conditioning on that grid draw (the grid is dense
     enough that residual cross-sequence correlation is negligible), then
-    are thinned independently.  Returns (sequences, grid, intensity).
+    are thinned independently.  ``kernel`` is an :class:`RbfSpec`.
+    Returns (sequences, (grid, intensity)).
     """
+    if not isinstance(kernel, RbfSpec):
+        raise TypeError("kernel must be an RbfSpec")
     if n_seqs < 1:
         raise ValueError("n_seqs must be >= 1")
-    if m <= 0 or horizon <= 0:
-        raise ValueError("m and horizon must be positive")
+    _check_rate(m, horizon)
     rng = np.random.default_rng(seed)
-    gram = _gram_fn(kernel)
-    grid, factor = _grid_and_factor(gram, kernel, horizon)
+    grid, factor = _grid_and_factor(kernel, horizon)
     f_grid = nu + np.tril(factor[0]) @ rng.standard_normal(grid.size)
 
-    seqs = []
-    for _ in range(n_seqs):
-        n_cand = rng.poisson(m * horizon)
-        cand = np.sort(rng.uniform(0.0, horizon, n_cand))
-        f_cand = _conditional_draw(
-            gram, cand, grid, f_grid, nu, rng, obs_factor=factor
-        )
-        keep = rng.uniform(size=n_cand) < expit(f_cand)
-        seqs.append(EventSequence(times=cand[keep], horizon=float(horizon)))
+    def f_at(t):
+        return _conditional_draw(kernel, t, grid, f_grid, factor, nu, rng)
+
+    seqs = [_thin(m, horizon, rng, f_at) for _ in range(n_seqs)]
     return seqs, (grid, m * expit(f_grid))
 
 

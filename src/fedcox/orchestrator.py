@@ -84,6 +84,10 @@ class FedConfig:
             raise ValueError("straggle_period must be >= 1")
         if self.n_inducing < 1 or self.quad_nodes < 2 or self.n_w_samples < 1:
             raise ValueError("model size parameters out of range")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.eval_all, bool):
+            raise TypeError(f"eval_all must be true or false, got {self.eval_all!r}")
 
 
 @dataclass

@@ -87,6 +87,12 @@ class TestConfig:
         from fedcox.cli import ConfigError
         with pytest.raises(ConfigError, match="typo_key"):
             load_config(str(path))
+        # The generator has no grid-size setting; its grid is fixed.
+        path.write_text(yaml.safe_dump({"generate": {"grid_size": 256}}))
+        with pytest.raises(ConfigError, match="grid_size"):
+            load_config(str(path))
+        assert main(["generate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
 
     def test_participants_exceeding_clients_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -133,10 +139,16 @@ class TestConfig:
         {"rounds": None},
         {"n_w_samples": "4"},
         {"generate": {"m": None}},
-    ], ids=["rounds-null", "n_w_samples-string", "generate-m-null"])
+        {"seed": "abc"},
+        {"eval_all": "no"},
+    ], ids=["rounds-null", "n_w_samples-string", "generate-m-null",
+            "seed-string", "eval_all-string"])
     def test_wrong_typed_value_exits_2(self, tmp_path, bad):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(bad))
+        # A missing --data also exits 2, so check the config step itself.
+        with pytest.raises(cli.ConfigError):
+            load_config(str(path))
         assert main(["train", "--config", str(path), "--data", "x",
                      "--metrics", str(tmp_path / "m.csv")]) == 2
 

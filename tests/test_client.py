@@ -422,7 +422,7 @@ class TestSharedSweepBlocks:
         rng = np.random.default_rng(30)
         st = make_state(rng, n_inducing=7)
         for row in cl.draw_w_samples(st.phi, 3, 5):
-            blocks = cl._InducingBlocks(st, row, with_tape=False)
+            blocks = cl._InducingBlocks(st, row)
             np.testing.assert_array_equal(
                 blocks.kzz_inv, solve_with(blocks.factor, np.eye(7))
             )
@@ -439,24 +439,15 @@ class TestSharedSweepBlocks:
             for update in (cl.update_pg, cl.update_latent_pp,
                            cl.update_inducing):
                 update(plain, w)
-            shared = cl._SweepBlocks(w)
+            blocks = cl._inducing_blocks(shared_st, w)
             for update in (cl.update_pg, cl.update_latent_pp,
                            cl.update_inducing):
-                update(shared_st, w, shared)
+                update(shared_st, w, blocks)
             np.testing.assert_array_equal(shared_st.pg, plain.pg)
             np.testing.assert_array_equal(shared_st.latent_rate, plain.latent_rate)
             np.testing.assert_array_equal(shared_st.latent_c, plain.latent_c)
             np.testing.assert_array_equal(shared_st.q_u.mean, plain.q_u.mean)
             np.testing.assert_array_equal(shared_st.q_u.cov, plain.q_u.cov)
-
-    def test_blocks_refuse_other_samples(self):
-        rng = np.random.default_rng(31)
-        st = make_state(rng)
-        w = cl.draw_w_samples(st.phi, 2, 1)
-        shared = cl._SweepBlocks(w)
-        cl.update_pg(st, w, shared)
-        with pytest.raises(ValueError):
-            cl.update_latent_pp(st, w.copy(), shared)
 
 
 class TestObjectiveGradient:

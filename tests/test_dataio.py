@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from fedcox import dataio
 from fedcox.dataio import (
     EventSequence,
     RbfSpec,
@@ -17,6 +18,7 @@ from fedcox.dataio import (
     simulate_sgcp,
     superpose,
 )
+from fedcox.kernel import EncoderSpec, init_kernel_params
 
 
 class TestEventSequence:
@@ -144,6 +146,32 @@ class TestSimulateClient:
         seqs, (grid_c, lam_c) = simulate_client(40.0, kernel, 1.0, 1, 17, nu=0.3)
         assert np.array_equal(seq.times, seqs[0].times)
         assert np.array_equal(grid, grid_c) and np.array_equal(lam, lam_c)
+
+    def test_rejects_deep_kernel(self):
+        # The ground truth is a plain RBF SGCP; a (params, EncoderSpec)
+        # pair is not a kernel the simulator draws from.
+        spec = EncoderSpec(hidden_dim=2, output_dim=2)
+        kernel = (init_kernel_params(spec, 0), spec)
+        with pytest.raises(TypeError):
+            simulate_client(20.0, kernel, 1.0, 2, 0)
+        with pytest.raises(TypeError):
+            simulate_sgcp(20.0, kernel, 1.0, 0)
+
+    def test_equal_spec_reuses_cached_factor(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return factor_fn(*args, **kwargs)
+
+        factor_fn = dataio.chol_factor_jittered
+        monkeypatch.setattr(dataio, "chol_factor_jittered", counting)
+        dataio._grid_and_factor.cache_clear()
+        _, (grid_a, lam_a) = simulate_client(30.0, RbfSpec(2.0, 0.125), 1.0, 2, 4)
+        _, (grid_b, lam_b) = simulate_client(30.0, RbfSpec(2.0, 0.125), 1.0, 2, 5)
+        assert calls == [("ground-truth gram",)]
+        assert grid_a is grid_b
+        assert not np.array_equal(lam_a, lam_b)
 
 
 class TestSuperpose:
