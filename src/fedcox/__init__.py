@@ -59,7 +59,6 @@ from .numerics import (
     DiagGaussian,
     FactorizationError,
     QuadratureGrid,
-    chol_solve,
     kl_diag,
     mmd_rbf,
     pg_mean,

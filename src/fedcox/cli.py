@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -120,8 +121,23 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("generate.m must be positive")
     if gen["horizon"] <= 0:
         raise ConfigError("generate.horizon must be positive")
+    for key in ("train_seqs", "test_seqs"):
+        if type(gen[key]) is not int:  # bool is an int subclass
+            raise ConfigError(f"generate.{key} must be an integer, got {gen[key]!r}")
     if gen["train_seqs"] < 1 or gen["test_seqs"] < 0:
         raise ConfigError("generate sequence counts out of range")
+    kernels = gen["kernels"]
+    if not (isinstance(kernels, list) and kernels and all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(type(x) in (int, float) and 0 < x < math.inf for x in pair)
+        for pair in kernels
+    )):
+        raise ConfigError(
+            "generate.kernels must be a nonempty list of [variance, inverse "
+            f"length scale] pairs of positive numbers, got {kernels!r}"
+        )
+    for pair in kernels:
+        dataio._check_resolution(_kernel_spec(pair), gen["horizon"])
     if cfg["split"] == "time":
         k_types = cfg.get("event_types")
         k_per = cfg.get("types_per_client")
@@ -130,6 +146,11 @@ def _validate_config(cfg: dict) -> None:
         if k_per >= k_types:
             raise ConfigError("types_per_client must be < event_types")
     fed_config(cfg)
+
+
+def _kernel_spec(pair) -> dataio.RbfSpec:
+    """The ground-truth kernel of a ``[variance, inverse length scale]`` pair."""
+    return dataio.RbfSpec(variance=pair[0], length_scale=1.0 / pair[1])
 
 
 def fed_config(cfg: dict) -> FedConfig:
@@ -261,12 +282,11 @@ def cmd_generate(args) -> int:
     n_clients = cfg["clients"]
     meta_clients = []
     for cid in range(n_clients):
-        variance, inv_length = kernels[cid % len(kernels)]
+        variance, inv_length = pair = kernels[cid % len(kernels)]
         # Pairs are read as [variance, inverse length scale]; this
         # interpretation is recorded in the metadata for auditability.
-        spec = dataio.RbfSpec(variance=variance, length_scale=1.0 / inv_length)
         seqs, (grid, lam) = dataio.simulate_client(
-            gen["m"], spec, gen["horizon"],
+            gen["m"], _kernel_spec(pair), gen["horizon"],
             gen["train_seqs"] + gen["test_seqs"],
             cl.derive_seed(cfg["seed"], 0xDA7A, cid),
         )

@@ -20,7 +20,6 @@ import copy
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit, roots_hermite
@@ -66,6 +65,10 @@ log = logging.getLogger(__name__)
 _LOG_RATE_CLAMP = 60.0
 
 GAUSS_HERMITE_ORDER = 20
+# Gauss-Hermite rule: for f ~ N(mean, var), E[g(f)] is about
+# sum(_GH_WEIGHTS * g(mean + sqrt(2 var) * _GH_NODES)).
+_GH_NODES, _GH_WEIGHTS = roots_hermite(GAUSS_HERMITE_ORDER)
+_GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
 
 
 @dataclass
@@ -615,16 +618,9 @@ def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
     return state.phi
 
 
-@lru_cache(maxsize=4)
-def _gh_nodes(order: int):
-    x, w = roots_hermite(order)
-    return x, w / math.sqrt(math.pi)
-
-
-def _expected_sigmoid(mean, var, order=GAUSS_HERMITE_ORDER):
-    x, w = _gh_nodes(order)
-    f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * x[None, :]
-    return expit(f) @ w
+def _expected_sigmoid(mean, var):
+    f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * _GH_NODES[None, :]
+    return expit(f) @ _GH_WEIGHTS
 
 
 def intensity(state: ClientState | PredictiveState, times, w=None) -> np.ndarray:

@@ -119,68 +119,51 @@ class RbfSpec:
         return self.variance * np.exp(-0.5 * (a - b) ** 2 / self.length_scale**2)
 
 
-def _sample_gaussian(mean, cov, rng):
-    """Joint Gaussian draw robust to numerically singular covariances.
+def _conditional_draw(kernel, x_new, grid, alpha, factor, nu, rng):
+    """Draw f(x_new) given the grid draw under a GP(nu, kernel).
 
-    Conditioning a smooth kernel on dense observations leaves covariances
-    that are zero to machine precision (and slightly indefinite), so the
-    relative-jitter ladder cannot apply here: escalate a tiny absolute
-    diagonal boost and fall back to an eigenvalue clip.
-    """
-    cov = 0.5 * (cov + cov.T)
-    diag_idx = np.diag_indices_from(cov)
-    scale = float(np.max(cov[diag_idx]))
-    if scale <= 1e-10:
-        # Numerically pinned process: per-point residual noise only.
-        std = np.sqrt(np.maximum(cov[diag_idx], 0.0))
-        return mean + std * rng.standard_normal(len(mean))
-    previous = 0.0
-    for jitter in (1e-8 * scale, 1e-5 * scale):
-        cov[diag_idx] += jitter - previous
-        previous = jitter
-        try:
-            chol = np.linalg.cholesky(cov)
-            return mean + chol @ rng.standard_normal(len(mean))
-        except np.linalg.LinAlgError:
-            continue
-    cov[diag_idx] -= previous
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
-    return mean + root @ rng.standard_normal(len(mean))
-
-
-def _conditional_draw(kernel, x_new, grid, f_grid, factor, nu, rng):
-    """One joint draw of f(x_new) given f(grid) under a GP(nu, kernel).
-
-    ``factor`` is the Cholesky factor of the grid gram.  When the grid
-    pins the process (conditional variances below 1e-4 of the prior
-    variance everywhere, i.e. residual std under 1% of the prior std) the
-    residual is sampled per-point instead of jointly; the full Schur
-    complement is formed only when it matters.
+    ``factor`` is the Cholesky factor of the grid gram and ``alpha`` its
+    solve against ``f_grid - nu``.  Each point gets its conditional mean
+    plus independent noise of its conditional variance.
     """
     if len(x_new) == 0:
         return np.empty(0)
     k_no = kernel.gram(x_new, grid)
-    alpha = solve_with(factor, f_grid - nu)
     mean = nu + k_no @ alpha
     solved = solve_with(factor, k_no.T)  # (n_grid, n_new)
     # The RBF kernel's diagonal k(t, t) is its variance.
-    prior_var = kernel.variance
-    cond_diag = prior_var - np.einsum("nm,mn->n", k_no, solved)
-    if float(np.max(cond_diag)) <= 1e-4 * prior_var:
-        std = np.sqrt(np.maximum(cond_diag, 0.0))
-        return mean + std * rng.standard_normal(len(mean))
-    cov = kernel.gram(x_new, x_new) - k_no @ solved
-    return _sample_gaussian(mean, cov, rng)
+    cond_var = kernel.variance - np.einsum("nm,mn->n", k_no, solved)
+    std = np.sqrt(np.maximum(cond_var, 0.0))
+    return mean + std * rng.standard_normal(len(mean))
 
 
 @lru_cache(maxsize=8)
 def _grid_and_factor(kernel: RbfSpec, horizon):
-    """The ground-truth grid and its gram factor, reused across seeds."""
+    """The ground-truth grid and its gram's factor ``(U, False)``, reused.
+
+    ``U`` is upper-triangular with ``U.T @ U`` the gram; ``U.T @ z`` draws
+    f on the grid.  ``U`` is Fortran-ordered, so :func:`solve_with` hands
+    it to LAPACK without a copy.  Both arrays are shared, so read-only.
+    """
     grid = np.linspace(0.0, horizon, GROUND_TRUTH_GRID)
-    factor, _ = chol_factor_jittered(kernel.gram(grid, grid), "ground-truth gram")
-    grid.flags.writeable = False  # every later call returns this array
-    return grid, factor
+    (c, _), _ = chol_factor_jittered(kernel.gram(grid, grid), "ground-truth gram")
+    upper = np.tril(c).T
+    grid.flags.writeable = upper.flags.writeable = False
+    return grid, (upper, False)
+
+
+def _check_resolution(kernel, horizon):
+    """Reject a length scale under two ground-truth grid spacings.
+
+    A coarser grid does not pin f between its nodes: sequences would stop
+    sharing one intensity, and the grid intensity would alias the true one.
+    """
+    min_length = 2.0 * horizon / (GROUND_TRUTH_GRID - 1)
+    if kernel.length_scale < min_length:
+        raise ValueError(
+            f"kernel length scale {kernel.length_scale:g} is under two "
+            f"ground-truth grid spacings, {min_length:g} on horizon {horizon:g}"
+        )
 
 
 def _check_rate(m, horizon):
@@ -202,10 +185,9 @@ def simulate_sgcp(m, kernel, horizon, seed, nu=0.0, f_override=None):
 
     Candidates come from a homogeneous Poisson(m) process; each candidate
     survives with probability sigmoid(f).  Valid because the intensity
-    never exceeds m.  The function draw is jointly consistent between the
-    candidates and the returned 512-node ground-truth intensity grid (one
-    multivariate draw, factorized grid-first so the grid gram Cholesky can
-    be reused across seeds).
+    never exceeds m.  The candidates' f values are conditioned on f's draw
+    on the returned 512-node ground-truth grid, as in
+    :func:`simulate_client`, whose kernel resolution check applies.
 
     ``f_override``: optional callable t -> f(t) replacing the GP draw, for
     fixed-function sampling in statistical checks; ``kernel`` is then
@@ -227,23 +209,27 @@ def simulate_sgcp(m, kernel, horizon, seed, nu=0.0, f_override=None):
 def simulate_client(m, kernel, horizon, n_seqs, seed, nu=0.0):
     """Sample several sequences sharing one latent intensity draw.
 
-    f is drawn once on the ground-truth grid; each sequence's candidates
-    get f values by conditioning on that grid draw (the grid is dense
-    enough that residual cross-sequence correlation is negligible), then
-    are thinned independently.  ``kernel`` is an :class:`RbfSpec`.
-    Returns (sequences, (grid, intensity)).
+    f is drawn once on the ground-truth grid and solved against its gram
+    once; each sequence's candidates get the grid-conditional mean of f
+    plus per-point residual noise, then are thinned independently.
+    ``kernel`` is an :class:`RbfSpec` with length scale at least two grid
+    spacings, ``2 * horizon / (GROUND_TRUTH_GRID - 1)`` (ValueError
+    otherwise), where the residual variance is at most ~8e-6 of the
+    prior's.  Returns (sequences, (grid, intensity)).
     """
     if not isinstance(kernel, RbfSpec):
         raise TypeError("kernel must be an RbfSpec")
     if n_seqs < 1:
         raise ValueError("n_seqs must be >= 1")
     _check_rate(m, horizon)
+    _check_resolution(kernel, horizon)
     rng = np.random.default_rng(seed)
     grid, factor = _grid_and_factor(kernel, horizon)
-    f_grid = nu + np.tril(factor[0]) @ rng.standard_normal(grid.size)
+    f_grid = nu + factor[0].T @ rng.standard_normal(grid.size)
+    alpha = solve_with(factor, f_grid - nu)
 
     def f_at(t):
-        return _conditional_draw(kernel, t, grid, f_grid, factor, nu, rng)
+        return _conditional_draw(kernel, t, grid, alpha, factor, nu, rng)
 
     seqs = [_thin(m, horizon, rng, f_at) for _ in range(n_seqs)]
     return seqs, (grid, m * expit(f_grid))

@@ -22,7 +22,6 @@ __all__ = [
     "pg_mean",
     "log_2cosh",
     "chol_factor_jittered",
-    "chol_solve",
     "chol_logdet",
     "trapezoid_grid",
 ]
@@ -190,7 +189,7 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
     near-singular kernel grams continuous in the kernel parameters (the
     clean-first policy makes them jump wherever a parameter perturbation
     flips factorization success).  Returns ``(factor, jitter_used)`` where
-    ``factor`` feeds :func:`chol_solve` / :func:`chol_logdet`.
+    ``factor`` feeds :func:`solve_with` / :func:`chol_logdet`.
     """
     a = np.asarray(a, dtype=np.float64)
     scale = float(np.mean(np.diag(a)))
@@ -209,12 +208,6 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
                     f"{label}: Cholesky failed even at jitter "
                     f"{JITTER_MAX * scale:.3e}"
                 ) from None
-
-
-def chol_solve(a, b, label: str = "matrix"):
-    """Solve ``a x = b`` for SPD ``a``, with jitter as in :func:`chol_factor_jittered`."""
-    factor, _ = chol_factor_jittered(a, label)
-    return solve_with(factor, b)
 
 
 def chol_logdet(factor) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,13 +199,22 @@ def _update_one(state, theta, config, round_index, test_seqs, interval):
     return work, payload
 
 
+@contextmanager
+def _aborts_round(round_index, what):
+    """Turn any failure inside the block into a RoundError naming ``what``."""
+    try:
+        yield
+    except Exception as exc:
+        raise RoundError(f"round {round_index} aborted: {what} failed: {exc}") from exc
+
+
 def run_round(server: ServerState, clients, config: FedConfig,
               test_sets=None, eval_interval=None):
     """One communication round; mutates server and participant states.
 
-    Participants work on copies that are committed only after every one
-    of them succeeds, so a failing client aborts the round with the
-    server and all clients untouched.
+    Participant updates (on copies), aggregation and ``eval_all`` scoring
+    all run before anything is committed, so a failure raises RoundError
+    naming the client or the rule, with server and clients untouched.
     """
     participants = sample_participants(server.round, config)
     theta = server.theta
@@ -217,45 +227,36 @@ def run_round(server: ServerState, clients, config: FedConfig,
         )
 
     t0 = time.perf_counter()
-    # Results are recorded one by one in participant order, so the first
-    # participant without one is the client that failed.
-    try:
-        if config.n_workers > 1:
-            with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-                futures = {cid: pool.submit(job, cid) for cid in participants}
-                for cid, fut in futures.items():
+    # Results are collected in participant order, so a failure is reported
+    # for the first participant whose result raises.
+    if config.n_workers > 1:
+        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
+            futures = {cid: pool.submit(job, cid) for cid in participants}
+            for cid, fut in futures.items():
+                with _aborts_round(server.round, f"client {cid}"):
                     jobs[cid] = fut.result()
-        else:
-            for cid in participants:
+    else:
+        for cid in participants:
+            with _aborts_round(server.round, f"client {cid}"):
                 jobs[cid] = job(cid)
-    except Exception as exc:
-        failed = next(cid for cid in participants if cid not in jobs)
-        raise RoundError(
-            f"round {server.round} aborted: client {failed} failed: {exc}"
-        ) from exc
 
     # Barrier: exactly this round's uploads feed the aggregation.
     payloads = [jobs[cid][1] for cid in participants]
-    new_theta = aggregate(config.aggregation, [p.phi for p in payloads])
-    for cid in participants:
-        clients[cid] = jobs[cid][0]
-    server.theta = new_theta
+    with _aborts_round(server.round, f"{config.aggregation.kind} aggregation"):
+        new_theta = aggregate(config.aggregation, [p.phi for p in payloads])
     elapsed_ms = int(round(1000.0 * (time.perf_counter() - t0)))
 
     logliks = tuple(p.test_loglik for p in payloads)
-    pool_logliks = list(logliks)
+    scored = dict(zip(participants, logliks))
     if config.eval_all and test_sets:
         # Full-population evaluation: participants keep their upload's score,
         # non-participants are scored read-only on their unchanged states.
-        scored = dict(zip(participants, logliks))
-        pool_logliks = [
-            scored[cid] if cid in scored else (
-                cl.test_loglik(clients[cid], test_sets[cid], eval_interval)
-                if test_sets[cid] else float("nan")
-            )
-            for cid in range(config.n_clients)
-        ]
-    finite = [x for x in pool_logliks if np.isfinite(x)]
+        for cid in range(config.n_clients):
+            if cid not in scored and test_sets[cid]:
+                with _aborts_round(server.round, f"evaluating client {cid}"):
+                    scored[cid] = cl.test_loglik(clients[cid], test_sets[cid],
+                                                 eval_interval)
+    finite = [scored[c] for c in sorted(scored) if np.isfinite(scored[c])]
     metrics = RoundMetrics(
         round=server.round,
         participant_ids=participants,
@@ -264,6 +265,9 @@ def run_round(server: ServerState, clients, config: FedConfig,
         mean_elbo=float(np.mean([p.elbo for p in payloads])),
         wall_time_ms=elapsed_ms,
     )
+    for cid in participants:
+        clients[cid] = jobs[cid][0]
+    server.theta = new_theta
     server.round += 1
     return server, metrics
 
@@ -280,15 +284,10 @@ def run_training(config: FedConfig, train_sets, horizon: float,
     if eval_interval is None:
         eval_interval = (0.0, horizon)
     history = []
-    for j in range(config.rounds):
-        try:
-            server, metrics = run_round(
-                server, clients, config, test_sets, eval_interval
-            )
-        except RoundError:
-            raise
-        except Exception as exc:
-            raise RoundError(f"round {j} aborted: {exc}") from exc
+    for _ in range(config.rounds):
+        server, metrics = run_round(
+            server, clients, config, test_sets, eval_interval
+        )
         history.append(metrics)
         if on_round is not None:
             on_round(metrics)

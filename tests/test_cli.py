@@ -141,8 +141,16 @@ class TestConfig:
         {"generate": {"m": None}},
         {"seed": "abc"},
         {"eval_all": "no"},
+        {"generate": {"kernels": []}},
+        {"generate": {"kernels": [[1.5]]}},
+        {"generate": {"kernels": [[0, 10]]}},
+        {"generate": {"kernels": 7}},
+        {"generate": {"train_seqs": 2.5}},
+        {"generate": {"kernels": [[1.5, 1000]]}},
     ], ids=["rounds-null", "n_w_samples-string", "generate-m-null",
-            "seed-string", "eval_all-string"])
+            "seed-string", "eval_all-string", "kernels-empty",
+            "kernels-short-pair", "kernels-zero-variance", "kernels-scalar",
+            "train_seqs-float", "kernels-under-resolved"])
     def test_wrong_typed_value_exits_2(self, tmp_path, bad):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(bad))

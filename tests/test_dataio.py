@@ -174,6 +174,63 @@ class TestSimulateClient:
         assert not np.array_equal(lam_a, lam_b)
 
 
+class TestGridResolution:
+    """The ground-truth grid must resolve the kernel: length >= 2 spacings."""
+
+    SPACING = 7.5 / (dataio.GROUND_TRUTH_GRID - 1)
+
+    def test_rejects_kernel_below_two_spacings(self):
+        kernel = RbfSpec(1.0, 1.999 * self.SPACING)
+        with pytest.raises(ValueError, match="grid spacings"):
+            simulate_client(20.0, kernel, 7.5, 2, 0)
+        with pytest.raises(ValueError, match="grid spacings"):
+            simulate_sgcp(20.0, kernel, 7.5, 0)
+
+    def test_accepts_kernel_above_two_spacings(self):
+        kernel = RbfSpec(1.0, 2.001 * self.SPACING)
+        seqs, (grid, lam) = simulate_client(2.0, kernel, 7.5, 2, 0)
+        assert len(seqs) == 2 and lam.shape == grid.shape
+        seq, _ = simulate_sgcp(2.0, kernel, 7.5, 0)
+        assert np.all(seq.times <= 7.5)
+
+    def test_one_grid_solve_per_client(self, monkeypatch):
+        calls = []
+
+        def counting(factor, b):
+            calls.append(np.shape(b))
+            return solve(factor, b)
+
+        solve = dataio.solve_with
+        monkeypatch.setattr(dataio, "solve_with", counting)
+        seqs, _ = simulate_client(50.0, RbfSpec(1.5, 0.1), 1.0, 4, 3)
+        assert all(len(s) > 0 for s in seqs)
+        # One solve of f_grid - nu, then one per sequence's candidates.
+        assert len(calls) == 4 + 1
+        assert calls[0] == (dataio.GROUND_TRUTH_GRID,)
+
+    @pytest.mark.parametrize("horizon", [1.0, 7.5])
+    def test_residual_variance_negligible_at_every_accepted_length(self,
+                                                                   horizon):
+        # Independent per-point residuals drop their correlation, which is
+        # harmless only while the grid pins f.  With unit draws and a zero
+        # mean, _conditional_draw returns the conditional std, which must
+        # stay under 1% of the prior std between nodes.
+        class UnitNormals:
+            def standard_normal(self, n):
+                return np.ones(n)
+
+        spacing = horizon / (dataio.GROUND_TRUTH_GRID - 1)
+        cand = np.linspace(0.0, horizon, 8 * (dataio.GROUND_TRUTH_GRID - 1) + 1)
+        for length in np.geomspace(2.0 * spacing, 100.0 * horizon, 7):
+            kernel = RbfSpec(1.5, length)
+            grid, factor = dataio._grid_and_factor(kernel, horizon)
+            std = dataio._conditional_draw(
+                kernel, cand, grid, np.zeros(grid.size), factor, 0.0,
+                UnitNormals(),
+            )
+            assert np.max(std**2) <= 1e-4 * kernel.variance, length
+
+
 class TestSuperpose:
     def test_empty_b_returns_a(self):
         a = EventSequence(times=np.array([0.1, 0.4]), horizon=1.0)

@@ -10,10 +10,10 @@ from fedcox.numerics import (
     DiagGaussian,
     FactorizationError,
     chol_factor_jittered,
-    chol_solve,
     kl_diag,
     mmd_rbf,
     pg_mean,
+    solve_with,
     trapezoid_grid,
     w2_diag,
 )
@@ -240,16 +240,21 @@ class TestPgMean:
         assert out[0] == 0.25
 
 
+def factor_and_solve(a, b):
+    factor, _ = chol_factor_jittered(a)
+    return solve_with(factor, b)
+
+
 class TestCholSolve:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        x = chol_solve(np.eye(3), b)
+        x = factor_and_solve(np.eye(3), b)
         np.testing.assert_allclose(x, b, atol=1e-7)
 
     def test_diagonal(self):
         a = np.diag([2.0, 4.0])
         np.testing.assert_allclose(
-            chol_solve(a, np.array([2.0, 4.0])), [1.0, 1.0], rtol=1e-7
+            factor_and_solve(a, np.array([2.0, 4.0])), [1.0, 1.0], rtol=1e-7
         )
 
     def test_random_spd_residual(self):
@@ -257,7 +262,7 @@ class TestCholSolve:
         g = rng.standard_normal((8, 8))
         a = g @ g.T + 8 * np.eye(8)
         b = rng.standard_normal(8)
-        x = chol_solve(a, b)
+        x = factor_and_solve(a, b)
         residual = np.max(np.abs(a @ x - b))
         assert residual <= 1e-6 * np.max(np.abs(b))
 
@@ -266,7 +271,7 @@ class TestCholSolve:
         g = rng.standard_normal((5, 5))
         a = g @ g.T + 5 * np.eye(5)
         b = rng.standard_normal((5, 3))
-        x = chol_solve(a, b)
+        x = factor_and_solve(a, b)
         np.testing.assert_allclose(a @ x, b, atol=1e-8)
 
     def test_factor_records_jitter(self):
@@ -285,13 +290,13 @@ class TestCholSolve:
             a = (q * eigs) @ q.T
             a = 0.5 * (a + a.T)
             b = rng.standard_normal(6)
-            x = chol_solve(a, b)
+            x = factor_and_solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-6 * max(np.linalg.norm(b), 1e-12)
 
     def test_error_names_matrix(self):
         a = np.array([[1.0, 0.0], [0.0, -5.0]])  # indefinite beyond max jitter
         with pytest.raises(FactorizationError, match="doomed gram"):
-            chol_solve(a, np.ones(2), label="doomed gram")
+            chol_factor_jittered(a, "doomed gram")
 
 
 class TestTrapezoidGrid:

@@ -201,6 +201,24 @@ class TestRunRound:
             run_round(server, clients, config)
         assert server.round == 0
 
+    def test_aggregation_failure_aborts_round(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        config = tiny_config(n_clients=3, participants_per_round=2)
+        server, clients = build_clients(config, tiny_dataset(rng, 3), 1.0)
+        theta0 = server.theta
+        snapshot = [copy.deepcopy(c) for c in clients]
+
+        def failing(method, records):
+            raise FloatingPointError("synthetic aggregation blow-up")
+
+        monkeypatch.setattr("fedcox.orchestrator.aggregate", failing)
+        with pytest.raises(RoundError, match="kl aggregation failed"):
+            run_round(server, clients, config)
+        assert server.theta is theta0
+        assert server.round == 0
+        for cid in range(3):
+            assert states_equal(clients[cid], snapshot[cid])
+
     def test_metrics_shape(self):
         rng = np.random.default_rng(4)
         config = tiny_config()
@@ -301,6 +319,31 @@ class TestEvalAll:
         assert history[-1].mean_test_loglik == np.mean(
             [original(c, tests[c.id], (0.0, 1.0)) for c in clients]
         )
+
+    def test_evaluation_failure_aborts_round(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        data = tiny_dataset(rng, 3)
+        tests = tiny_dataset(rng, 3, n_seqs=1)
+        config = tiny_config(n_clients=3, participants_per_round=1,
+                             eval_all=True)
+        server, clients = build_clients(config, data, 1.0)
+        theta0 = server.theta
+        snapshot = [copy.deepcopy(c) for c in clients]
+        victim = min(set(range(3)) - set(sample_participants(0, config)))
+        original = cl.test_loglik
+
+        def failing(state, *args, **kwargs):
+            if state.id == victim:
+                raise ValueError("synthetic evaluation blow-up")
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr("fedcox.orchestrator.cl.test_loglik", failing)
+        with pytest.raises(RoundError, match=f"evaluating client {victim}"):
+            run_round(server, clients, config, tests, (0.0, 1.0))
+        assert server.theta is theta0
+        assert server.round == 0
+        for cid in range(3):
+            assert states_equal(clients[cid], snapshot[cid])
 
 
 class TestShippedDefaults:
