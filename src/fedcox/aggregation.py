@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DiagGaussian
+from .numerics import DiagGaussian, check_setting
 
 __all__ = [
     "AggregationMethod",
@@ -28,8 +28,8 @@ log = logging.getLogger(__name__)
 
 AGGREGATION_KINDS = ("fedavg", "kl", "w2", "mmd")
 
-# Aggregated variance is clamped here if every client has collapsed, so the
-# broadcast prior stays a valid Gaussian.
+# Every rule clamps the aggregated variance here, so a prior over clients
+# that have all collapsed stays a usable Gaussian.
 _VAR_FLOOR = 1e-10
 
 _MMD_DEFAULTS = {"mmd_delta": 1.0, "mmd_steps": 500, "mmd_eta": 1e-2}
@@ -49,27 +49,18 @@ class AggregationMethod:
             raise ValueError(
                 f"unknown aggregation {self.kind!r}; valid: {AGGREGATION_KINDS}"
             )
-        mmd_fields = {
-            "mmd_delta": self.mmd_delta,
-            "mmd_steps": self.mmd_steps,
-            "mmd_eta": self.mmd_eta,
-        }
+        set_fields = [n for n in _MMD_DEFAULTS if getattr(self, n) is not None]
+        if self.kind != "mmd" and set_fields:
+            raise ValueError(
+                f"{set_fields} only apply to kind='mmd' (got {self.kind!r})"
+            )
         if self.kind == "mmd":
+            # Each knob has its default's kind and must be positive.
             for name, default in _MMD_DEFAULTS.items():
-                if mmd_fields[name] is None:
+                if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
-            if self.mmd_delta <= 0:
-                raise ValueError("mmd_delta must be positive")
-            if self.mmd_steps < 1:
-                raise ValueError("mmd_steps must be >= 1")
-            if self.mmd_eta <= 0:
-                raise ValueError("mmd_eta must be positive")
-        else:
-            set_fields = [n for n, v in mmd_fields.items() if v is not None]
-            if set_fields:
-                raise ValueError(
-                    f"{set_fields} only apply to kind='mmd' (got {self.kind!r})"
-                )
+                check_setting(name, getattr(self, name), type(default),
+                              low=0, strict=True)
 
 
 def _stack(phis: list[DiagGaussian]):
@@ -84,10 +75,19 @@ def _stack(phis: list[DiagGaussian]):
     return means, variances
 
 
+def _floored(var, kind):
+    """``var`` clamped at the floor, with a warning if any entry was below."""
+    if np.any(var < _VAR_FLOOR):
+        log.warning("%s aggregation variance clamped at %g", kind, _VAR_FLOOR)
+        var = np.maximum(var, _VAR_FLOOR)
+    return var
+
+
 def aggregate_fedavg(phis: list[DiagGaussian]) -> DiagGaussian:
     """Plain averaging of client means and client variances."""
     means, variances = _stack(phis)
-    return DiagGaussian(means.mean(axis=0), variances.mean(axis=0))
+    return DiagGaussian(means.mean(axis=0),
+                        _floored(variances.mean(axis=0), "fedavg"))
 
 
 def aggregate_kl(phis: list[DiagGaussian]) -> DiagGaussian:
@@ -100,10 +100,7 @@ def aggregate_kl(phis: list[DiagGaussian]) -> DiagGaussian:
     means, variances = _stack(phis)
     mu = means.mean(axis=0)
     var_moment = (variances + means**2).mean(axis=0) - mu**2
-    if np.any(var_moment < _VAR_FLOOR):
-        log.warning("KL aggregation variance clamped at %g", _VAR_FLOOR)
-        var_moment = np.maximum(var_moment, _VAR_FLOOR)
-    return DiagGaussian(mu, var_moment)
+    return DiagGaussian(mu, _floored(var_moment, "kl"))
 
 
 def aggregate_w2(phis: list[DiagGaussian]) -> DiagGaussian:
@@ -115,7 +112,7 @@ def aggregate_w2(phis: list[DiagGaussian]) -> DiagGaussian:
     means, variances = _stack(phis)
     mu = means.mean(axis=0)
     sigma = np.sqrt(variances).mean(axis=0)
-    return DiagGaussian(mu, np.maximum(sigma**2, _VAR_FLOOR))
+    return DiagGaussian(mu, _floored(sigma**2, "w2"))
 
 
 def _mmd_objective(mu, var, means, variances, delta):
@@ -185,7 +182,7 @@ def aggregate_mmd(phis: list[DiagGaussian], method: AggregationMethod) -> DiagGa
         best_mu = np.where(improved, mu, best_mu)
         best_logv = np.where(improved, logv, best_logv)
         best_obj = np.where(improved, obj, best_obj)
-    return DiagGaussian(best_mu, np.maximum(np.exp(best_logv), _VAR_FLOOR))
+    return DiagGaussian(best_mu, _floored(np.exp(best_logv), "mmd"))
 
 
 def aggregate(method: AggregationMethod, phis: list[DiagGaussian]) -> DiagGaussian:

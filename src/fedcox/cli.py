@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .aggregation import (
     aggregate,
 )
 from .kernel import PACKING_VERSION, EncoderSpec
-from .numerics import DiagGaussian
+from .numerics import DiagGaussian, check_setting
 from .orchestrator import FedConfig, run_training
 
 __all__ = ["main", "load_config", "read_param_records", "write_param_records"]
@@ -104,46 +103,35 @@ def load_config(path=None, overrides=None) -> dict:
     try:
         _validate_config(cfg)
     except (TypeError, ValueError) as exc:
-        # A wrong-typed value fails a comparison with TypeError.
+        # A wrong type raises TypeError, a value out of range ValueError.
         raise ConfigError(str(exc)) from None
     return cfg
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["aggregation"] not in AGGREGATION_KINDS:
-        raise ConfigError(
-            f"unknown aggregation {cfg['aggregation']!r}; valid: {AGGREGATION_KINDS}"
-        )
     if cfg["split"] not in ("sequence", "time"):
         raise ConfigError("split must be 'sequence' or 'time'")
     gen = cfg["generate"]
-    if gen["m"] <= 0:
-        raise ConfigError("generate.m must be positive")
-    if gen["horizon"] <= 0:
-        raise ConfigError("generate.horizon must be positive")
-    for key in ("train_seqs", "test_seqs"):
-        if type(gen[key]) is not int:  # bool is an int subclass
-            raise ConfigError(f"generate.{key} must be an integer, got {gen[key]!r}")
-    if gen["train_seqs"] < 1 or gen["test_seqs"] < 0:
-        raise ConfigError("generate sequence counts out of range")
+    check_setting("generate.m", gen["m"], float, low=0, strict=True)
+    check_setting("generate.horizon", gen["horizon"], float, low=0, strict=True)
+    check_setting("generate.train_seqs", gen["train_seqs"], int, low=1)
+    check_setting("generate.test_seqs", gen["test_seqs"], int, low=0)
     kernels = gen["kernels"]
     if not (isinstance(kernels, list) and kernels and all(
-        isinstance(pair, list) and len(pair) == 2
-        and all(type(x) in (int, float) and 0 < x < math.inf for x in pair)
-        for pair in kernels
+        isinstance(pair, list) and len(pair) == 2 for pair in kernels
     )):
         raise ConfigError(
             "generate.kernels must be a nonempty list of [variance, inverse "
-            f"length scale] pairs of positive numbers, got {kernels!r}"
+            f"length scale] pairs, got {kernels!r}"
         )
     for pair in kernels:
+        for x in pair:
+            check_setting("generate.kernels entry", x, float, low=0, strict=True)
         dataio._check_resolution(_kernel_spec(pair), gen["horizon"])
     if cfg["split"] == "time":
-        k_types = cfg.get("event_types")
-        k_per = cfg.get("types_per_client")
-        if k_types is None or k_per is None:
-            raise ConfigError("time split requires event_types and types_per_client")
-        if k_per >= k_types:
+        check_setting("event_types", cfg.get("event_types"), int, low=1)
+        check_setting("types_per_client", cfg.get("types_per_client"), int, low=1)
+        if cfg["types_per_client"] >= cfg["event_types"]:
             raise ConfigError("types_per_client must be < event_types")
     fed_config(cfg)
 
@@ -413,9 +401,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    records = read_param_records(args.input)
     kwargs = {"mmd_delta": args.mmd_delta} if args.method == "mmd" else {}
-    method = AggregationMethod(args.method, **kwargs)
+    try:
+        method = AggregationMethod(args.method, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    records = read_param_records(args.input)
     result = aggregate(method, records)
     write_param_records([result], args.out)
     print(f"aggregated {len(records)} records with {args.method}")

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
 
-from .numerics import chol_factor_jittered, solve_with
+from .numerics import check_setting, chol_factor_jittered, solve_with
 
 __all__ = [
     "EventSequence",
@@ -51,8 +50,8 @@ class EventSequence:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be positive and finite")
+        check_setting("horizon", self.horizon, float, low=0, strict=True)
+        object.__setattr__(self, "horizon", float(self.horizon))
         if times.ndim != 1:
             raise ValueError("times must be a vector")
         if times.size:
@@ -167,8 +166,8 @@ def _check_resolution(kernel, horizon):
 
 
 def _check_rate(m, horizon):
-    if m <= 0 or horizon <= 0:
-        raise ValueError("m and horizon must be positive")
+    check_setting("m", m, float, low=0, strict=True)
+    check_setting("horizon", horizon, float, low=0, strict=True)
 
 
 def _thin(m, horizon, rng, f_at) -> EventSequence:
@@ -219,8 +218,7 @@ def simulate_client(m, kernel, horizon, n_seqs, seed, nu=0.0):
     """
     if not isinstance(kernel, RbfSpec):
         raise TypeError("kernel must be an RbfSpec")
-    if n_seqs < 1:
-        raise ValueError("n_seqs must be >= 1")
+    check_setting("n_seqs", n_seqs, int, low=1)
     _check_rate(m, horizon)
     _check_resolution(kernel, horizon)
     rng = np.random.default_rng(seed)
@@ -257,42 +255,29 @@ def load_jsonl(path) -> list[EventSequence]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed JSON at line {lineno}: {exc}") from None
-            if "times" not in record:
-                raise ValueError(f"missing 'times' at line {lineno}")
-            try:
-                times = np.asarray(record["times"], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValueError(f"non-numeric event times at line {lineno}") from None
-            if times.ndim != 1:
-                raise ValueError(f"'times' must be a list at line {lineno}")
-            if not np.all(np.isfinite(times)):
-                raise ValueError(f"non-finite event time at line {lineno}")
-            if times.size and np.any(np.diff(times) < 0):
-                raise ValueError(f"unsorted times at line {lineno}")
+            if not isinstance(record, dict):
+                raise ValueError(f"line {lineno} is not a JSON object")
+            times = record.get("times")
+            # JSON numbers load as int or float; this also rejects bools.
+            if not (isinstance(times, list)
+                    and all(type(t) in (int, float) for t in times)):
+                raise ValueError(
+                    f"'times' must be a list of numbers at line {lineno}"
+                )
             marks = record.get("marks")
-            if marks is not None:
-                try:
-                    marks = np.asarray(marks)
-                except ValueError:
-                    raise ValueError(f"ragged marks at line {lineno}") from None
-                if marks.shape != times.shape:
-                    raise ValueError(f"marks length mismatch at line {lineno}")
-                if marks.dtype.kind not in "iu" and not (
-                    marks.dtype.kind == "f" and np.all(np.mod(marks, 1.0) == 0)
-                ):
-                    raise ValueError(f"marks must be integers at line {lineno}")
+            if marks is not None and not (isinstance(marks, list) and all(
+                type(k) is int or type(k) is float and k.is_integer()
+                for k in marks
+            )):
+                raise ValueError(f"marks must be integers at line {lineno}")
             horizon = record.get("horizon")
             if horizon is None:
-                if times.size == 0:
-                    raise ValueError(
-                        f"empty sequence without horizon at line {lineno}"
-                    )
-                horizon = float(times[-1])
+                if not times:
+                    raise ValueError(f"empty sequence without horizon at line {lineno}")
+                horizon = times[-1]
             try:
-                seqs.append(
-                    EventSequence(times=times, horizon=float(horizon), marks=marks)
-                )
-            except ValueError as exc:
+                seqs.append(EventSequence(times=times, horizon=horizon, marks=marks))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"invalid sequence at line {lineno}: {exc}") from None
     if not seqs:
         log.warning("no sequences found in %s", path)

@@ -2,12 +2,15 @@
 
 Diagonal-Gaussian algebra and divergences, Polya-Gamma first moments,
 jittered Cholesky factorization for positive-definite kernel matrices,
-and trapezoid quadrature on a time interval.  Everything here is a pure
-function of its inputs and safe to share across workers.
+trapezoid quadrature on a time interval, and the type rule of every run
+setting.  Everything here is a pure function of its inputs and safe to
+share across workers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve as _cho_solve
@@ -24,6 +27,7 @@ __all__ = [
     "chol_factor_jittered",
     "chol_logdet",
     "trapezoid_grid",
+    "check_setting",
 ]
 
 # Jitter escalates from JITTER_START to JITTER_MAX (times the mean diagonal)
@@ -231,3 +235,25 @@ def trapezoid_grid(horizon: float, n_nodes: int) -> QuadratureGrid:
     weights = np.full(n_nodes, h)
     weights[0] = weights[-1] = 0.5 * h
     return QuadratureGrid(nodes=nodes, weights=weights, horizon=float(horizon))
+
+
+def check_setting(name: str, value, kind: type, low=None,
+                  strict: bool = False) -> None:
+    """Check the run setting ``name`` against its kind and lower bound.
+
+    ``kind`` is ``int``, ``float`` or ``bool``.  A bool is never a number,
+    numbers must be finite, and numpy scalars count as their kind.  ``low``
+    is exclusive when ``strict``.  Raises ``TypeError`` for a wrong type and
+    ``ValueError`` for a value out of range.
+    """
+    types = {int: Integral, float: Real, bool: (bool, np.bool_)}[kind]
+    is_bool = isinstance(value, (bool, np.bool_))
+    if is_bool != (kind is bool) or not isinstance(value, types):
+        what = {int: "an integer", float: "a number", bool: "true or false"}
+        raise TypeError(f"{name} must be {what[kind]}, got {value!r}")
+    if not -math.inf < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if low is not None and not (value > low if strict else value >= low):
+        raise ValueError(
+            f"{name} must be {'>' if strict else '>='} {low}, got {value!r}"
+        )

@@ -15,14 +15,14 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import client as cl
 from .aggregation import AggregationMethod, aggregate
 from .kernel import EncoderSpec, init_kernel_params
-from .numerics import DiagGaussian, trapezoid_grid
+from .numerics import DiagGaussian, check_setting, trapezoid_grid
 
 __all__ = [
     "FedConfig",
@@ -49,6 +49,14 @@ class RoundError(RuntimeError):
     """A client failed during a round; the server state was not changed."""
 
 
+_LOWER_BOUNDS = {
+    "n_clients": 1, "participants_per_round": 1, "rounds": 0,
+    "local_epochs": 1, "batch_size": 1, "step_size": 0.0,
+    "straggle_period": 1, "n_inducing": 1, "quad_nodes": 2,
+    "n_w_samples": 1, "hidden_dim": 1, "embed_dim": 1, "n_workers": 1,
+}
+
+
 @dataclass(frozen=True)
 class FedConfig:
     """Run-level knobs for the federated protocol and the client models."""
@@ -71,24 +79,14 @@ class FedConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if not 1 <= self.participants_per_round <= self.n_clients:
-            raise ValueError("participants_per_round must be in [1, n_clients]")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ValueError("local_epochs and batch_size must be >= 1")
-        if self.step_size < 0:
-            raise ValueError("step_size must be nonnegative")
-        if self.straggle_period < 1:
-            raise ValueError("straggle_period must be >= 1")
-        if self.n_inducing < 1 or self.quad_nodes < 2 or self.n_w_samples < 1:
-            raise ValueError("model size parameters out of range")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.eval_all, bool):
-            raise TypeError(f"eval_all must be true or false, got {self.eval_all!r}")
+        for f in fields(self):
+            # Annotations are strings here (postponed evaluation).
+            kind = {"int": int, "float": float, "bool": bool}.get(f.type)
+            if kind is not None:
+                check_setting(f.name, getattr(self, f.name), kind,
+                              _LOWER_BOUNDS.get(f.name))
+        if self.participants_per_round > self.n_clients:
+            raise ValueError("participants_per_round must be <= n_clients")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import pytest
 from scipy.optimize import minimize
 
 from fedcox.aggregation import (
+    _VAR_FLOOR,
     AggregationMethod,
     aggregate,
     aggregate_fedavg,
@@ -228,6 +229,16 @@ class TestMmd:
             assert single.var[0] == pytest.approx(joint.var[d], abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["fedavg", "kl", "w2", "mmd"])
+def test_collapsed_clients_get_the_variance_floor(kind, caplog):
+    phis = gaussians([[0.3, -1.0]] * 3, [[1e-300, 1e-300]] * 3)
+    with caplog.at_level("WARNING"):
+        out = aggregate(AggregationMethod(kind), phis)
+    np.testing.assert_array_equal(out.var, _VAR_FLOOR)
+    assert any(f"{kind} aggregation variance clamped" in r.getMessage()
+               for r in caplog.records)
+
+
 class TestMethodValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown aggregation"):
@@ -240,6 +251,11 @@ class TestMethodValidation:
     def test_mmd_defaults_filled(self):
         m = AggregationMethod("mmd")
         assert m.mmd_delta == 1.0 and m.mmd_steps == 500 and m.mmd_eta == 1e-2
+
+    def test_numpy_scalars_accepted(self):
+        m = AggregationMethod("mmd", mmd_delta=np.float64(0.5),
+                              mmd_steps=np.int64(5), mmd_eta=np.float32(0.01))
+        assert m.mmd_steps == 5
 
     def test_dispatch(self):
         phis = gaussians([[0.0], [2.0]], [[1.0], [1.0]])

@@ -1,6 +1,8 @@
 """End-to-end command-line tests: generate, train, eval, aggregate."""
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -135,27 +137,61 @@ class TestConfig:
             n_clients=2, participants_per_round=2, rounds=10
         )
 
-    @pytest.mark.parametrize("bad", [
-        {"rounds": None},
-        {"n_w_samples": "4"},
-        {"generate": {"m": None}},
-        {"seed": "abc"},
-        {"eval_all": "no"},
-        {"generate": {"kernels": []}},
-        {"generate": {"kernels": [[1.5]]}},
-        {"generate": {"kernels": [[0, 10]]}},
-        {"generate": {"kernels": 7}},
-        {"generate": {"train_seqs": 2.5}},
-        {"generate": {"kernels": [[1.5, 1000]]}},
+    @pytest.mark.parametrize("bad, key", [
+        ({"rounds": None}, "rounds"),
+        ({"n_w_samples": "4"}, "n_w_samples"),
+        ({"generate": {"m": None}}, "generate.m"),
+        ({"seed": "abc"}, "seed"),
+        ({"eval_all": "no"}, "eval_all"),
+        ({"generate": {"kernels": []}}, "generate.kernels"),
+        ({"generate": {"kernels": [[1.5]]}}, "generate.kernels"),
+        ({"generate": {"kernels": [[0, 10]]}}, "generate.kernels"),
+        ({"generate": {"kernels": 7}}, "generate.kernels"),
+        ({"generate": {"train_seqs": 2.5}}, "generate.train_seqs"),
+        ({"generate": {"kernels": [[1.5, 1000]]}}, "length scale"),
+        # Count keys take integers only; bools are not numbers.
+        ({"rounds": 2.5}, "rounds"),
+        ({"clients": 2.0}, "clients"),
+        ({"participants": 1.0}, "participants"),
+        ({"local_epochs": 1.5}, "local_epochs"),
+        ({"batch_size": True}, "batch_size"),
+        ({"straggle_period": 1.5}, "straggle_period"),
+        ({"n_inducing": 3.5}, "n_inducing"),
+        ({"quad_nodes": 9.0}, "quad_nodes"),
+        ({"n_w_samples": 2.5}, "n_w_samples"),
+        ({"embed_dim": 2.5}, "embed_dim"),
+        ({"aggregation": "mmd", "mmd_steps": 2.5}, "mmd_steps"),
+        ({"split": "time", "types_per_client": 2, "event_types": 4.5},
+         "event_types"),
+        # Real-valued keys are finite numbers.
+        ({"step_size": math.nan}, "step_size"),
+        ({"step_size": math.inf}, "step_size"),
+        ({"aggregation": "mmd", "mmd_delta": math.nan}, "mmd_delta"),
+        ({"aggregation": "mmd", "mmd_eta": math.inf}, "mmd_eta"),
+        ({"generate": {"m": math.inf}}, "generate.m"),
+        ({"generate": {"m": True}}, "generate.m"),
+        ({"generate": {"horizon": math.nan}}, "generate.horizon"),
+        # Lower bounds.
+        ({"hidden_dim": 0}, "hidden_dim"),
+        ({"n_workers": 0}, "n_workers"),
+        ({"split": "time", "event_types": 4, "types_per_client": 0},
+         "types_per_client"),
     ], ids=["rounds-null", "n_w_samples-string", "generate-m-null",
             "seed-string", "eval_all-string", "kernels-empty",
             "kernels-short-pair", "kernels-zero-variance", "kernels-scalar",
-            "train_seqs-float", "kernels-under-resolved"])
-    def test_wrong_typed_value_exits_2(self, tmp_path, bad):
+            "train_seqs-float", "kernels-under-resolved",
+            "rounds-float", "clients-float", "participants-float",
+            "local_epochs-float", "batch_size-bool", "straggle_period-float",
+            "n_inducing-float", "quad_nodes-float", "n_w_samples-float",
+            "embed_dim-float", "mmd_steps-float", "event_types-float",
+            "step_size-nan", "step_size-inf", "mmd_delta-nan", "mmd_eta-inf",
+            "generate-m-inf", "generate-m-bool", "generate-horizon-nan",
+            "hidden_dim-zero", "n_workers-zero", "types_per_client-zero"])
+    def test_wrong_typed_value_exits_2(self, tmp_path, bad, key):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(bad))
         # A missing --data also exits 2, so check the config step itself.
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(cli.ConfigError, match=re.escape(key)):
             load_config(str(path))
         assert main(["train", "--config", str(path), "--data", "x",
                      "--metrics", str(tmp_path / "m.csv")]) == 2
@@ -384,6 +420,17 @@ class TestAggregateCommand:
                          "--out", str(dst)] + extra) == 0
             outs.append(dst.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan"])
+    def test_invalid_mmd_delta_exits_2(self, tmp_path, delta, capsys):
+        src = tmp_path / "in.json"
+        write_param_records(
+            [DiagGaussian(np.array([0.0]), np.array([1.0]))], src
+        )
+        assert main(["aggregate", "--method", "mmd", "--in", str(src),
+                     "--out", str(tmp_path / "o.json"),
+                     "--mmd-delta", delta]) == 2
+        assert "mmd_delta" in capsys.readouterr().err
 
     def test_unknown_method_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -98,6 +98,11 @@ class TestSimulateSgcp:
         with pytest.raises(ValueError):
             simulate_sgcp(0.0, RbfSpec(1.0, 0.1), 1.0, 0)
 
+    @pytest.mark.parametrize("m, horizon", [(math.inf, 1.0), (25.0, math.nan)])
+    def test_rejects_non_finite_rate(self, m, horizon):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_sgcp(m, RbfSpec(1.0, 0.1), horizon, 0)
+
     def test_thinning_intensity_histogram(self):
         # Fixed f(t) = 2 sin(2 pi t / T): per-bin counts match the target
         # intensity within 4-sigma Poisson bars.
@@ -326,8 +331,15 @@ class TestJsonl:
         '{"times": 0.5, "horizon": 1.0}',
         '{"times": [0.1, 0.2], "marks": [1.5, 2.7], "horizon": 1.0}',
         '{"times": [0.1, 0.2], "marks": [[1], [2, 3]], "horizon": 1.0}',
+        '5',
+        'null',
+        '{"times": [0.1], "horizon": [1]}',
+        '{"times": [0.1], "horizon": true}',
+        '{"times": [0.1, true], "horizon": 1.0}',
+        '{"times": [0.1], "marks": [1180591620717411303424], "horizon": 1.0}',
     ], ids=["non-numeric-times", "scalar-times", "fractional-marks",
-            "ragged-marks"])
+            "ragged-marks", "number-record", "null-record", "list-horizon",
+            "bool-horizon", "bool-times", "mark-beyond-int64"])
     def test_malformed_record_names_line(self, tmp_path, record):
         path = tmp_path / "malformed.jsonl"
         path.write_text('{"times": [0.1], "horizon": 1.0}\n' + record + "\n")

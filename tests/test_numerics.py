@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fedcox.numerics import (
     DiagGaussian,
     FactorizationError,
+    check_setting,
     chol_factor_jittered,
     kl_diag,
     mmd_rbf,
@@ -326,3 +327,37 @@ class TestTrapezoidGrid:
             trapezoid_grid(0.0, 5)
         with pytest.raises(ValueError):
             trapezoid_grid(1.0, 1)
+
+
+class TestCheckSetting:
+    @pytest.mark.parametrize("value, kind, low, strict", [
+        (3, int, 1, False),
+        (np.int64(1), int, 1, False),
+        (0.5, float, 0, True),
+        (2, float, 0, True),
+        (np.float32(0.0), float, 0, False),
+        (-7, int, None, False),
+        (True, bool, None, False),
+        (np.bool_(False), bool, None, False),
+    ])
+    def test_accepts(self, value, kind, low, strict):
+        check_setting("x", value, kind, low, strict)
+
+    @pytest.mark.parametrize("value, kind", [
+        (2.0, int), (True, int), (np.bool_(True), float), ("1", float),
+        (None, int), (1, bool),
+    ])
+    def test_wrong_type_is_type_error(self, value, kind):
+        with pytest.raises(TypeError, match="^x must be"):
+            check_setting("x", value, kind)
+
+    @pytest.mark.parametrize("value, kind, low, strict", [
+        (math.nan, float, None, False),
+        (math.inf, float, None, False),
+        (np.float64(-np.inf), float, None, False),
+        (0, int, 1, False),
+        (0.0, float, 0, True),
+    ])
+    def test_out_of_range_is_value_error(self, value, kind, low, strict):
+        with pytest.raises(ValueError, match="^x must be"):
+            check_setting("x", value, kind, low, strict)

@@ -109,6 +109,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(n_clients=2, participants_per_round=3)
 
+    def test_numpy_scalars_accepted(self):
+        config = tiny_config(n_clients=np.int64(3), rounds=np.int32(2),
+                             step_size=np.float32(0.01), seed=np.int64(4),
+                             eval_all=np.bool_(True))
+        assert config.rounds == 2
+
     def test_positive_counts(self):
         with pytest.raises(ValueError):
             tiny_config(local_epochs=0)
@@ -319,6 +325,29 @@ class TestEvalAll:
         assert history[-1].mean_test_loglik == np.mean(
             [original(c, tests[c.id], (0.0, 1.0)) for c in clients]
         )
+
+    @pytest.mark.parametrize("eval_all", [False, True])
+    def test_clients_without_test_sequences(self, eval_all):
+        rng = np.random.default_rng(13)
+        data = tiny_dataset(rng, 3)
+        tests = tiny_dataset(rng, 3, n_seqs=1)
+        config = tiny_config(n_clients=3, participants_per_round=2,
+                             eval_all=eval_all)
+        participants = sample_participants(0, config)
+        empty = participants[0]
+        tests[empty] = []
+        server, clients = build_clients(config, data, 1.0)
+        server, metrics = run_round(server, clients, config, tests, (0.0, 1.0))
+        assert np.isnan(metrics.per_client_loglik[0])
+        covered = [c for c in (range(3) if eval_all else participants)
+                   if c != empty]
+        assert metrics.mean_test_loglik == np.mean(
+            [cl.test_loglik(clients[c], tests[c], (0.0, 1.0)) for c in covered]
+        )
+        # With no test sequences anywhere there is nothing to average.
+        _, metrics = run_round(server, clients, config, [[], [], []],
+                               (0.0, 1.0))
+        assert np.isnan(metrics.mean_test_loglik)
 
     def test_evaluation_failure_aborts_round(self, monkeypatch):
         rng = np.random.default_rng(10)
