@@ -3,7 +3,8 @@
 Given the diagonal Gaussians uploaded by participating clients, produce
 the new global prior as the minimizer of the summed divergence.  FedAvg,
 KL and 2-Wasserstein have closed forms; the RBF-MMD objective is
-minimized per dimension by gradient descent with step halving.
+minimized per dimension by gradient descent with step halving, from the
+KL closed form, evaluating its terms once per step.
 """
 from __future__ import annotations
 
@@ -83,6 +84,12 @@ def _floored(var, kind):
     return var
 
 
+def _moment_match(means, variances):
+    """Mean and variance of the records' mixture: the KL minimizer, unfloored."""
+    mu = means.mean(axis=0)
+    return mu, (variances + means**2).mean(axis=0) - mu**2
+
+
 def aggregate_fedavg(phis: list[DiagGaussian]) -> DiagGaussian:
     """Plain averaging of client means and client variances."""
     means, variances = _stack(phis)
@@ -97,10 +104,8 @@ def aggregate_kl(phis: list[DiagGaussian]) -> DiagGaussian:
     minus mean^2, i.e. the FedAvg variance plus the population variance of
     the client means.
     """
-    means, variances = _stack(phis)
-    mu = means.mean(axis=0)
-    var_moment = (variances + means**2).mean(axis=0) - mu**2
-    return DiagGaussian(mu, _floored(var_moment, "kl"))
+    mu, var = _moment_match(*_stack(phis))
+    return DiagGaussian(mu, _floored(var, "kl"))
 
 
 def aggregate_w2(phis: list[DiagGaussian]) -> DiagGaussian:
@@ -115,30 +120,34 @@ def aggregate_w2(phis: list[DiagGaussian]) -> DiagGaussian:
     return DiagGaussian(mu, _floored(sigma**2, "w2"))
 
 
-def _mmd_objective(mu, var, means, variances, delta):
+def _mmd_point(mu, var, means, base, d2):
     """Summed per-client MMD terms that depend on the prior, per dimension.
 
-    Shapes: mu, var are (D,); means, variances are (C, D).  The client
-    self-term is prior-free and dropped.
+    Shapes: mu, var are (D,); means and ``base = d2 + 2 variances`` are
+    (C, D).  The client self-term is prior-free and dropped.  Returns the
+    objective and the terms ``(diff, diff**2, s, e, d2 + 4 var)`` that
+    :func:`_mmd_gradient` reuses at the same point.
     """
-    d2 = delta * delta
-    prior_self = 1.0 / np.sqrt(d2 + 4.0 * var)  # (D,)
-    s = d2 + 2.0 * variances + 2.0 * var  # (C, D)
-    cross = np.exp(-((means - mu) ** 2) / s) / np.sqrt(s)
-    return means.shape[0] * prior_self - 2.0 * cross.sum(axis=0)
-
-
-def _mmd_gradient(mu, var, means, variances, delta):
-    """Gradient of :func:`_mmd_objective` w.r.t. (mu, var), per dimension."""
-    d2 = delta * delta
     diff = means - mu  # (C, D)
-    s = d2 + 2.0 * variances + 2.0 * var
-    e = np.exp(-(diff**2) / s)
+    sq = diff**2
+    s = base + 2.0 * var
+    e = np.exp(-sq / s)
+    q = d2 + 4.0 * var  # (D,)
+    obj = (means.shape[0] * (1.0 / np.sqrt(q))
+           - 2.0 * (e / np.sqrt(s)).sum(axis=0))
+    return obj, (diff, sq, s, e, q)
+
+
+def _mmd_gradient(terms, n_clients):
+    """Gradient of the objective w.r.t. (mu, var), from the terms of
+    :func:`_mmd_point` at the same point."""
+    diff, sq, s, e, q = terms
+    s15 = s**-1.5
     # d/dmu of -2 e / sqrt(s): the exponent contributes 2*diff/s per client
-    g_mu = -(4.0 * diff * e * s**-1.5).sum(axis=0)
+    g_mu = -((4.0 * diff * e) * s15).sum(axis=0)
     g_var = (
-        -2.0 * means.shape[0] * (d2 + 4.0 * var) ** -1.5
-        + (e * (2.0 * s**-1.5 - 4.0 * diff**2 * s**-2.5)).sum(axis=0)
+        (-2.0 * n_clients) * q**-1.5
+        + (e * (2.0 * s15 - (4.0 * sq) * s**-2.5)).sum(axis=0)
     )
     return g_mu, g_var
 
@@ -146,42 +155,48 @@ def _mmd_gradient(mu, var, means, variances, delta):
 def aggregate_mmd(phis: list[DiagGaussian], method: AggregationMethod) -> DiagGaussian:
     """Minimize the summed RBF-MMD by per-dimension gradient descent.
 
-    Starts from the KL closed form, walks (mu, log var) with a shared step
-    per dimension that halves whenever that dimension's objective would
-    increase, and returns the best iterate seen.
+    Starts from the KL closed form (the moment match of the records),
+    walks (mu, log var) with a shared step per dimension that halves
+    whenever that dimension's objective would increase, and returns the
+    best iterate seen.  Each step evaluates the MMD terms once, at the
+    trial point: an accepted trial's terms give the next step's gradient,
+    and a rejected dimension keeps its current terms.
     """
     if method.kind != "mmd":
         raise ValueError("method.kind must be 'mmd'")
     means, variances = _stack(phis)
-    delta = method.mmd_delta
-    warm = aggregate_kl(phis)
-    mu, logv = warm.mean.copy(), np.log(warm.var)
+    n_clients = means.shape[0]
+    d2 = method.mmd_delta * method.mmd_delta
+    base = d2 + 2.0 * variances
+    mu, var = _moment_match(means, variances)
+    logv = np.log(_floored(var, "mmd"))
+    var = np.exp(logv)  # as at every later iterate, not the moment itself
 
-    obj = _mmd_objective(mu, np.exp(logv), means, variances, delta)
+    obj, terms = _mmd_point(mu, var, means, base, d2)
     if not np.all(np.isfinite(obj)):
         raise FloatingPointError("MMD objective is not finite at the warm start")
     best_mu, best_logv, best_obj = mu.copy(), logv.copy(), obj.copy()
     step = np.full(mu.shape, method.mmd_eta)
     for _ in range(method.mmd_steps):
-        var = np.exp(logv)
-        g_mu, g_var = _mmd_gradient(mu, var, means, variances, delta)
-        g_logv = g_var * var
+        g_mu, g_var = _mmd_gradient(terms, n_clients)
         trial_mu = mu - step * g_mu
-        trial_logv = logv - step * g_logv
-        trial_obj = _mmd_objective(
-            trial_mu, np.exp(trial_logv), means, variances, delta
-        )
+        trial_logv = logv - step * (g_var * var)
+        trial_var = np.exp(trial_logv)
+        trial_obj, trial_terms = _mmd_point(trial_mu, trial_var, means, base, d2)
         if not np.all(np.isfinite(trial_obj)):
             raise FloatingPointError("MMD objective became non-finite")
         worse = trial_obj > obj
-        step = np.where(worse, 0.5 * step, step)
-        mu = np.where(worse, mu, trial_mu)
-        logv = np.where(worse, logv, trial_logv)
-        obj = np.where(worse, obj, trial_obj)
+        if worse.any():
+            step = np.where(worse, 0.5 * step, step)
+            for new, old in zip((trial_mu, trial_logv, trial_var, trial_obj,
+                                 *trial_terms), (mu, logv, var, obj, *terms)):
+                np.copyto(new, old, where=worse)
+        mu, logv, var, obj, terms = (trial_mu, trial_logv, trial_var,
+                                     trial_obj, trial_terms)
         improved = obj < best_obj
-        best_mu = np.where(improved, mu, best_mu)
-        best_logv = np.where(improved, logv, best_logv)
-        best_obj = np.where(improved, obj, best_obj)
+        np.copyto(best_mu, mu, where=improved)
+        np.copyto(best_logv, logv, where=improved)
+        np.copyto(best_obj, obj, where=improved)
     return DiagGaussian(best_mu, _floored(np.exp(best_logv), "mmd"))
 
 

@@ -128,11 +128,15 @@ def _validate_config(cfg: dict) -> None:
         for x in pair:
             check_setting("generate.kernels entry", x, float, low=0, strict=True)
         dataio._check_resolution(_kernel_spec(pair), gen["horizon"])
-    if cfg["split"] == "time":
-        check_setting("event_types", cfg.get("event_types"), int, low=1)
-        check_setting("types_per_client", cfg.get("types_per_client"), int, low=1)
-        if cfg["types_per_client"] >= cfg["event_types"]:
-            raise ConfigError("types_per_client must be < event_types")
+    # Keys that the split or the rule in use does not read are checked all
+    # the same, so a file that loads under one rule (``--aggregation``)
+    # holds no wrong-typed value for another.
+    for key in ("event_types", "types_per_client"):
+        if cfg["split"] == "time" or key in cfg:
+            check_setting(key, cfg.get(key), int, low=1)
+    if cfg["split"] == "time" and cfg["types_per_client"] >= cfg["event_types"]:
+        raise ConfigError("types_per_client must be < event_types")
+    AggregationMethod("mmd", **{k: cfg.get(k) for k in _MMD_DEFAULTS})
     fed_config(cfg)
 
 

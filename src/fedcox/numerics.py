@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve as _cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "DiagGaussian",
@@ -202,16 +202,22 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
     jitter = JITTER_START * scale if baseline else 0.0
     eye = np.eye(a.shape[0])
     while True:
-        try:
-            factor = cho_factor(a + jitter * eye, lower=True, check_finite=False)
-            return factor, jitter
-        except np.linalg.LinAlgError:
-            jitter = JITTER_START * scale if jitter == 0.0 else 10.0 * jitter
-            if jitter > JITTER_MAX * scale:
-                raise FactorizationError(
-                    f"{label}: Cholesky failed even at jitter "
-                    f"{JITTER_MAX * scale:.3e}"
-                ) from None
+        # scipy's cho_factor(lower=True) makes this call, so the factor is
+        # bit-identical; its upper triangle is left as the input had it.
+        c, info = dpotrf(a + jitter * eye, lower=True, clean=False)
+        if info == 0:
+            return (c, True), jitter
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+        # info > 0: a leading minor is not positive definite.  Drop the
+        # failed factor now, or it stays alive through the next rung.
+        del c
+        jitter = JITTER_START * scale if jitter == 0.0 else 10.0 * jitter
+        if jitter > JITTER_MAX * scale:
+            raise FactorizationError(
+                f"{label}: Cholesky failed even at jitter "
+                f"{JITTER_MAX * scale:.3e}"
+            )
 
 
 def chol_logdet(factor) -> float:
@@ -220,8 +226,20 @@ def chol_logdet(factor) -> float:
 
 
 def solve_with(factor, b):
-    """Solve with an existing factor (saves refactorizing in inner loops)."""
-    return _cho_solve(factor, np.asarray(b, dtype=np.float64), check_finite=False)
+    """Solve with an existing factor (saves refactorizing in inner loops).
+
+    ``factor`` is ``(c, lower)`` as :func:`chol_factor_jittered` returns it;
+    ``b`` is 1-D or 2-D.  Bit-identical to ``scipy.linalg.cho_solve``, whose
+    LAPACK ``dpotrs`` call this makes without the wrapper around it.
+    """
+    c, lower = factor
+    b = np.asarray(b, dtype=np.float64)
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def trapezoid_grid(horizon: float, n_nodes: int) -> QuadratureGrid:

@@ -1,4 +1,6 @@
 """Aggregation rules against independent numerical-minimization oracles."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -6,6 +8,8 @@ from scipy.optimize import minimize
 from fedcox.aggregation import (
     _VAR_FLOOR,
     AggregationMethod,
+    _mmd_gradient,
+    _mmd_point,
     aggregate,
     aggregate_fedavg,
     aggregate_kl,
@@ -181,6 +185,154 @@ def mmd_grid_search(phis, delta, mu_range, sigma_range, step=1e-3):
     return float(mu_grid[idx]), float(var_grid[idx])
 
 
+def _mmd_objective(mu, var, means, variances, delta):
+    """Summed per-client MMD terms that depend on the prior, per dimension."""
+    d2 = delta * delta
+    prior_self = 1.0 / np.sqrt(d2 + 4.0 * var)  # (D,)
+    s = d2 + 2.0 * variances + 2.0 * var  # (C, D)
+    cross = np.exp(-((means - mu) ** 2) / s) / np.sqrt(s)
+    return means.shape[0] * prior_self - 2.0 * cross.sum(axis=0)
+
+
+def _mmd_reference_gradient(mu, var, means, variances, delta):
+    """Gradient of :func:`_mmd_objective` w.r.t. (mu, var), per dimension."""
+    d2 = delta * delta
+    diff = means - mu  # (C, D)
+    s = d2 + 2.0 * variances + 2.0 * var
+    e = np.exp(-(diff**2) / s)
+    g_mu = -(4.0 * diff * e * s**-1.5).sum(axis=0)
+    g_var = (
+        -2.0 * means.shape[0] * (d2 + 4.0 * var) ** -1.5
+        + (e * (2.0 * s**-1.5 - 4.0 * diff**2 * s**-2.5)).sum(axis=0)
+    )
+    return g_mu, g_var
+
+
+def reference_mmd(phis, method):
+    """The MMD loop as first written: objective and gradient evaluated
+    separately, the gradient recomputing the accepted trial's terms.
+
+    Returns the aggregate and the number of (step, dimension) halvings.
+    """
+    means = np.stack([p.mean for p in phis])
+    variances = np.stack([p.var for p in phis])
+    delta = method.mmd_delta
+    warm = aggregate_kl(phis)
+    mu, logv = warm.mean.copy(), np.log(warm.var)
+    obj = _mmd_objective(mu, np.exp(logv), means, variances, delta)
+    best_mu, best_logv, best_obj = mu.copy(), logv.copy(), obj.copy()
+    step = np.full(mu.shape, method.mmd_eta)
+    halvings = 0
+    for _ in range(method.mmd_steps):
+        var = np.exp(logv)
+        g_mu, g_var = _mmd_reference_gradient(mu, var, means, variances, delta)
+        g_logv = g_var * var
+        trial_mu = mu - step * g_mu
+        trial_logv = logv - step * g_logv
+        trial_obj = _mmd_objective(
+            trial_mu, np.exp(trial_logv), means, variances, delta
+        )
+        worse = trial_obj > obj
+        halvings += int(worse.sum())
+        step = np.where(worse, 0.5 * step, step)
+        mu = np.where(worse, mu, trial_mu)
+        logv = np.where(worse, logv, trial_logv)
+        obj = np.where(worse, obj, trial_obj)
+        improved = obj < best_obj
+        best_mu = np.where(improved, mu, best_mu)
+        best_logv = np.where(improved, logv, best_logv)
+        best_obj = np.where(improved, obj, best_obj)
+    return DiagGaussian(best_mu, np.exp(best_logv)), halvings
+
+
+def mmd_knobs(delta=1.0, steps=500, eta=1e-2):
+    """MMD knobs without AggregationMethod's checks, so steps may be 0."""
+    return SimpleNamespace(kind="mmd", mmd_delta=delta, mmd_steps=steps,
+                           mmd_eta=eta)
+
+
+class TestMmdBitIdentity:
+    """The one-evaluation loop against :func:`reference_mmd`, byte for byte."""
+
+    @staticmethod
+    def records(n_clients, scale, seed=0, dim=330):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(scale=scale, size=(n_clients, dim))
+        variances = rng.uniform(0.01, 2.0, size=(n_clients, dim))
+        return gaussians(means, variances)
+
+    @staticmethod
+    def assert_bytes_equal(phis, method):
+        want, halvings = reference_mmd(phis, method)
+        got = aggregate_mmd(phis, method)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.var.tobytes() == want.var.tobytes()
+        return halvings
+
+    @pytest.mark.parametrize("n_clients", [1, 3, 8])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 8.0, 60.0])
+    def test_default_knobs(self, n_clients, scale):
+        phis = self.records(n_clients, scale, seed=n_clients)
+        self.assert_bytes_equal(phis, AggregationMethod("mmd"))
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_step_halving(self, scale):
+        phis = self.records(8, scale, seed=11)
+        method = AggregationMethod("mmd", mmd_delta=0.3, mmd_steps=100,
+                                   mmd_eta=1.0)
+        halvings = self.assert_bytes_equal(phis, method)
+        # Halving fires in some dimensions but not all, step after step.
+        assert 100 < halvings < 100 * 330
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_zero_and_one_step(self, steps):
+        self.assert_bytes_equal(self.records(3, 1.0), mmd_knobs(steps=steps))
+
+    def test_numpy_scalar_knobs(self):
+        method = AggregationMethod("mmd", mmd_delta=np.float64(0.5),
+                                   mmd_steps=np.int64(40),
+                                   mmd_eta=np.float32(0.3))
+        self.assert_bytes_equal(self.records(3, 1.0, seed=5), method)
+
+
+def test_mmd_gradient_matches_central_differences():
+    rng = np.random.default_rng(12)
+    means = rng.normal(size=(4, 6))
+    variances = rng.uniform(0.1, 2.0, size=(4, 6))
+    mu, var = rng.normal(size=6), rng.uniform(0.2, 1.5, size=6)
+    delta = 0.7
+    d2 = delta * delta
+    base = d2 + 2.0 * variances
+
+    def objective(m, v):
+        return _mmd_point(m, v, means, base, d2)[0]
+
+    g_mu, g_var = _mmd_gradient(_mmd_point(mu, var, means, base, d2)[1], 4)
+    h = 1e-6
+    fd_mu = (objective(mu + h, var) - objective(mu - h, var)) / (2 * h)
+    fd_var = (objective(mu, var + h) - objective(mu, var - h)) / (2 * h)
+    np.testing.assert_allclose(g_mu, fd_mu, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(g_var, fd_var, rtol=1e-6, atol=1e-8)
+
+
+class TestMmdNonFinite:
+    # The warm start's second moment overflows: (1e308)**2 is inf.
+    OVERFLOW = gaussians([[1e308, 0.5], [-1e308, 0.5]], [[1.0, 1.0], [1.0, 1.0]])
+
+    def test_overflowing_warm_start_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match="warm start"):
+            aggregate(AggregationMethod("mmd"), self.OVERFLOW)
+
+    def test_overflowing_step_raises(self):
+        # A step of 1e308 sends mu to infinity; the next gradient is NaN.
+        phis = gaussians([[0.0], [1.0], [3.0]], [[1.0], [1.0], [1.0]])
+        method = AggregationMethod("mmd", mmd_eta=1e308, mmd_steps=50)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match="became non-finite"):
+            aggregate(method, phis)
+
+
 class TestMmd:
     def test_single_client_recovers_phi(self):
         phi = DiagGaussian(np.array([0.8]), np.array([1.7]))
@@ -237,6 +389,9 @@ def test_collapsed_clients_get_the_variance_floor(kind, caplog):
     np.testing.assert_array_equal(out.var, _VAR_FLOOR)
     assert any(f"{kind} aggregation variance clamped" in r.getMessage()
                for r in caplog.records)
+    # Each rule's warning names that rule only.
+    others = [k for k in ("fedavg", "kl", "w2", "mmd") if k != kind]
+    assert not any(k in r.getMessage() for r in caplog.records for k in others)
 
 
 class TestMethodValidation:

@@ -176,6 +176,13 @@ class TestConfig:
         ({"n_workers": 0}, "n_workers"),
         ({"split": "time", "event_types": 4, "types_per_client": 0},
          "types_per_client"),
+        # Keys that the split or rule in use does not read are checked too.
+        ({"event_types": "x"}, "event_types"),
+        ({"types_per_client": -4.5}, "types_per_client"),
+        ({"event_types": 0}, "event_types"),
+        ({"aggregation": "kl", "mmd_steps": "abc"}, "mmd_steps"),
+        ({"mmd_delta": -1.0}, "mmd_delta"),
+        ({"aggregation": "w2", "mmd_eta": math.inf}, "mmd_eta"),
     ], ids=["rounds-null", "n_w_samples-string", "generate-m-null",
             "seed-string", "eval_all-string", "kernels-empty",
             "kernels-short-pair", "kernels-zero-variance", "kernels-scalar",
@@ -186,7 +193,10 @@ class TestConfig:
             "embed_dim-float", "mmd_steps-float", "event_types-float",
             "step_size-nan", "step_size-inf", "mmd_delta-nan", "mmd_eta-inf",
             "generate-m-inf", "generate-m-bool", "generate-horizon-nan",
-            "hidden_dim-zero", "n_workers-zero", "types_per_client-zero"])
+            "hidden_dim-zero", "n_workers-zero", "types_per_client-zero",
+            "sequence-event_types-string", "sequence-types_per_client-float",
+            "sequence-event_types-zero", "kl-mmd_steps-string",
+            "kl-mmd_delta-negative", "w2-mmd_eta-inf"])
     def test_wrong_typed_value_exits_2(self, tmp_path, bad, key):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(bad))
@@ -208,6 +218,23 @@ class TestConfig:
         path = tmp_path / "all.yaml"
         path.write_text(yaml.safe_dump(every_key))
         assert load_config(str(path))["mmd_steps"] == 5
+
+    def test_unread_keys_still_load(self, tmp_path, monkeypatch):
+        # Valid mmd_* knobs under another rule, and event-type keys under a
+        # sequence split, load; --aggregation then switches the rule.
+        monkeypatch.delenv("FEDPP_SEED", raising=False)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "aggregation": "kl", "mmd_steps": 7, "mmd_eta": 0.5,
+            "event_types": 4, "types_per_client": 6,
+        }))
+        assert fed_config(load_config(str(path))).aggregation == (
+            AggregationMethod("kl")
+        )
+        switched = load_config(str(path), {"aggregation": "mmd"})
+        assert fed_config(switched).aggregation == AggregationMethod(
+            "mmd", mmd_steps=7, mmd_eta=0.5
+        )
 
     def test_mmd_without_mmd_keys_takes_aggregation_defaults(self, tmp_path,
                                                              monkeypatch):

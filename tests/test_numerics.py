@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from fedcox.numerics import (
     DiagGaussian,
@@ -293,6 +294,38 @@ class TestCholSolve:
             b = rng.standard_normal(6)
             x = factor_and_solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-6 * max(np.linalg.norm(b), 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 20, 50])
+    def test_bit_identical_to_scipy(self, m):
+        rng = np.random.default_rng(m)
+        g = rng.standard_normal((m, m))
+        a = g @ g.T + m * np.eye(m)
+        (c, lower), _ = chol_factor_jittered(a)
+        want = cho_factor(a, lower=True, check_finite=False)
+        assert lower is True and c.tobytes(order="A") == want[0].tobytes(order="A")
+        assert c.flags.f_contiguous == want[0].flags.f_contiguous
+        # The lower factor as returned, a C-ordered copy of it, and the upper
+        # Fortran-ordered (U, False) form that the ground-truth sampler keeps.
+        factors = [(c, True), (np.ascontiguousarray(c), True),
+                   (np.tril(c).T, False)]
+        for factor in factors:
+            for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+                got = solve_with(factor, b)
+                ref = cho_solve(factor, b, check_finite=False)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_jittered_factor_bit_identical_to_scipy(self):
+        a = np.ones((4, 4))  # rank one: the clean attempt fails
+        (c, _), jitter = chol_factor_jittered(a)
+        want, _ = cho_factor(a + jitter * np.eye(4), lower=True)
+        assert jitter > 0 and c.tobytes(order="A") == want.tobytes(order="A")
+
+    def test_empty_right_hand_side(self):
+        factor, _ = chol_factor_jittered(np.eye(3))
+        b = np.empty((3, 0))
+        got = solve_with(factor, b)
+        ref = cho_solve(factor, b)
+        assert got.shape == ref.shape == (3, 0) and got.dtype == ref.dtype
 
     def test_error_names_matrix(self):
         a = np.array([[1.0, 0.0], [0.0, -5.0]])  # indefinite beyond max jitter

@@ -7,6 +7,7 @@ import pytest
 import fedcox.client as cl
 from fedcox.aggregation import AggregationMethod
 from fedcox.dataio import EventSequence
+from fedcox.numerics import DiagGaussian
 from fedcox.orchestrator import (
     ClientPayload,
     FedConfig,
@@ -219,6 +220,31 @@ class TestRunRound:
 
         monkeypatch.setattr("fedcox.orchestrator.aggregate", failing)
         with pytest.raises(RoundError, match="kl aggregation failed"):
+            run_round(server, clients, config)
+        assert server.theta is theta0
+        assert server.round == 0
+        for cid in range(3):
+            assert states_equal(clients[cid], snapshot[cid])
+
+    def test_non_finite_mmd_aborts_round(self, monkeypatch):
+        # Uploads whose moment warm start overflows: (1e308)**2 is inf.
+        rng = np.random.default_rng(3)
+        config = tiny_config(n_clients=3, participants_per_round=2,
+                             aggregation=AggregationMethod("mmd"))
+        server, clients = build_clients(config, tiny_dataset(rng, 3), 1.0)
+        theta0 = server.theta
+        snapshot = [copy.deepcopy(c) for c in clients]
+        first = sample_participants(0, config)[0]
+
+        def overflowing(state, *args, **kwargs):
+            sign = 1.0 if state.id == first else -1.0
+            return DiagGaussian(np.full(state.phi.dim, sign * 1e308),
+                                state.phi.var)
+
+        monkeypatch.setattr("fedcox.orchestrator.cl.client_update", overflowing)
+        with np.errstate(all="ignore"), pytest.raises(
+            RoundError, match="mmd aggregation failed: MMD objective"
+        ):
             run_round(server, clients, config)
         assert server.theta is theta0
         assert server.round == 0
