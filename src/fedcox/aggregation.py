@@ -138,7 +138,7 @@ def _mmd_point(mu, var, means, base, d2):
     return obj, (diff, sq, s, e, q)
 
 
-def _mmd_gradient(terms, n_clients):
+def _mmd_gradient(terms):
     """Gradient of the objective w.r.t. (mu, var), from the terms of
     :func:`_mmd_point` at the same point."""
     diff, sq, s, e, q = terms
@@ -146,7 +146,7 @@ def _mmd_gradient(terms, n_clients):
     # d/dmu of -2 e / sqrt(s): the exponent contributes 2*diff/s per client
     g_mu = -((4.0 * diff * e) * s15).sum(axis=0)
     g_var = (
-        (-2.0 * n_clients) * q**-1.5
+        (-2.0 * diff.shape[0]) * q**-1.5
         + (e * (2.0 * s15 - (4.0 * sq) * s**-2.5)).sum(axis=0)
     )
     return g_mu, g_var
@@ -165,7 +165,6 @@ def aggregate_mmd(phis: list[DiagGaussian], method: AggregationMethod) -> DiagGa
     if method.kind != "mmd":
         raise ValueError("method.kind must be 'mmd'")
     means, variances = _stack(phis)
-    n_clients = means.shape[0]
     d2 = method.mmd_delta * method.mmd_delta
     base = d2 + 2.0 * variances
     mu, var = _moment_match(means, variances)
@@ -178,7 +177,7 @@ def aggregate_mmd(phis: list[DiagGaussian], method: AggregationMethod) -> DiagGa
     best_mu, best_logv, best_obj = mu.copy(), logv.copy(), obj.copy()
     step = np.full(mu.shape, method.mmd_eta)
     for _ in range(method.mmd_steps):
-        g_mu, g_var = _mmd_gradient(terms, n_clients)
+        g_mu, g_var = _mmd_gradient(terms)
         trial_mu = mu - step * g_mu
         trial_logv = logv - step * (g_var * var)
         trial_var = np.exp(trial_logv)
