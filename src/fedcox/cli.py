@@ -37,8 +37,6 @@ log = logging.getLogger(__name__)
 
 METRICS_HEADER = "round,participants,mean_test_loglik,mean_elbo,wall_time_ms"
 
-_GEN_KEYS = {"m", "horizon", "train_seqs", "test_seqs", "kernels"}
-
 # Keys that only the CLI reads, and the CLI's smaller run size; every
 # other key left out of a config takes FedConfig's default.
 _DEFAULT_CONFIG = {
@@ -56,6 +54,7 @@ _DEFAULT_CONFIG = {
         "kernels": [[1.5, 10.0], [2.0, 8.0]],
     },
 }
+_GEN_KEYS = set(_DEFAULT_CONFIG["generate"])
 # Config keys named differently from their FedConfig field.
 _FED_FIELDS = {"clients": "n_clients", "participants": "participants_per_round"}
 # One config key per FedConfig field; the accepted keys add the mmd_*
@@ -66,6 +65,17 @@ _FED_KEYS = (
 _TOP_KEYS = _FED_KEYS | set(_MMD_DEFAULTS) | {
     "split", "event_types", "types_per_client", "generate",
 }
+# The config keys that ``train`` flags override, each spelled
+# ``--key-with-dashes``, with the flag's argparse options.
+_TRAIN_FLAGS = (
+    ("seed", {"type": int}),
+    ("aggregation", {"choices": AGGREGATION_KINDS}),
+    ("rounds", {"type": int}),
+    ("clients", {"type": int}),
+    ("participants", {"type": int}),
+    ("local_epochs", {"type": int}),
+    ("straggle_period", {"type": int}),
+)
 
 
 class ConfigError(ValueError):
@@ -243,14 +253,16 @@ def load_model(path):
             f"model file {path} has no 'config' key; retrain to record it"
         )
     spec = EncoderSpec(**payload["encoder"])
-    clients = [
-        cl.PredictiveState(
+    clients = []
+    for rec in payload["clients"]:
+        check_setting(f"client {rec['id']} m", rec["m"], float, low=0,
+                      strict=True)
+        check_setting(f"client {rec['id']} nu", rec["nu"], float)
+        clients.append(cl.PredictiveState(
             id=rec["id"], spec=spec, m=rec["m"], nu=rec["nu"],
             phi=DiagGaussian(**rec["phi"]),
             q_u=cl.InducingPosterior(**rec["inducing"]),
-        )
-        for rec in payload["clients"]
-    ]
+        ))
     return payload["config"], clients
 
 
@@ -327,12 +339,25 @@ def _load_dataset(data, cfg):
     if cfg["split"] == "sequence":
         data_dir = Path(data)
         with open(data_dir / "metadata.json", "r", encoding="utf-8") as fh:
-            horizon = float(json.load(fh)["horizon"])
+            horizon = json.load(fh)["horizon"]
+        check_setting("metadata.json horizon", horizon, float, low=0,
+                      strict=True)
+        horizon = float(horizon)
+
+        def load(path):
+            seqs = dataio.load_jsonl(path)
+            if any(seq.horizon > horizon for seq in seqs):
+                raise ValueError(
+                    f"{path} holds a sequence beyond the metadata.json "
+                    f"horizon {horizon!r}"
+                )
+            return seqs
+
         train_sets, test_sets = [], []
         for cid in range(n_clients):
-            train_sets.append(dataio.load_jsonl(data_dir / f"client_{cid:02d}.train.jsonl"))
+            train_sets.append(load(data_dir / f"client_{cid:02d}.train.jsonl"))
             test_path = data_dir / f"client_{cid:02d}.test.jsonl"
-            test_sets.append(dataio.load_jsonl(test_path) if test_path.exists() else [])
+            test_sets.append(load(test_path) if test_path.exists() else [])
         return train_sets, test_sets, horizon, horizon, (0.0, horizon)
     split = dataio.normalize_and_split(dataio.load_jsonl(data))
     sets = []
@@ -347,15 +372,7 @@ def _load_dataset(data, cfg):
 
 
 def cmd_train(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "aggregation": args.aggregation,
-        "rounds": args.rounds,
-        "clients": args.clients,
-        "participants": args.participants,
-        "local_epochs": args.local_epochs,
-        "straggle_period": args.straggle_period,
-    }
+    overrides = {key: getattr(args, key) for key, _ in _TRAIN_FLAGS}
     cfg = load_config(args.config, overrides)
     config = fed_config(cfg)
     train_sets, test_sets, horizon, window, interval = _load_dataset(
@@ -435,15 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", type=str, required=True)
     p_train.add_argument("--metrics", type=str, required=True)
     p_train.add_argument("--model", type=str, default=None)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--aggregation", choices=AGGREGATION_KINDS, default=None)
-    p_train.add_argument("--rounds", type=int, default=None)
-    p_train.add_argument("--clients", type=int, default=None)
-    p_train.add_argument("--participants", type=int, default=None)
-    p_train.add_argument("--local-epochs", dest="local_epochs", type=int,
-                         default=None)
-    p_train.add_argument("--straggle-period", dest="straggle_period", type=int,
-                         default=None)
+    for key, options in _TRAIN_FLAGS:
+        p_train.add_argument("--" + key.replace("_", "-"), dest=key,
+                             default=None, **options)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model")

@@ -84,6 +84,9 @@ class InducingPosterior:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.cov = np.asarray(self.cov, dtype=np.float64)
         m = self.locations.size
+        if not all(np.isfinite(a).all()
+                   for a in (self.locations, self.mean, self.cov)):
+            raise ValueError("inducing posterior entries must be finite")
         if np.any(np.diff(self.locations) <= 0):
             raise ValueError("inducing locations must be strictly increasing")
         if self.mean.shape != (m,) or self.cov.shape != (m, m):
@@ -166,18 +169,6 @@ def draw_w_samples(phi: DiagGaussian, n_samples: int, noise_seed: int) -> np.nda
     return phi.mean + phi.std() * eps
 
 
-def _w_matrix(w, spec: EncoderSpec) -> np.ndarray:
-    """Accept a packed vector or a sample matrix."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 1:
-        w = w[None, :]
-    if w.ndim != 2 or w.shape[1] != spec.n_params:
-        raise ValueError(
-            f"kernel parameters must have {spec.n_params} entries per sample"
-        )
-    return w
-
-
 class _InducingBlocks:
     """Kernel blocks at the inducing points for one kernel-parameter sample.
 
@@ -233,7 +224,8 @@ class _SampleCache:
     """
 
     __slots__ = (
-        "z", "k_tz", "d2_tz", "tape_t", "beta", "alpha", "mean", "var",
+        "z", "k_tz", "d2_tz", "tape_t", "beta", "beta_cov", "alpha", "mean",
+        "var",
     )
 
     def __init__(self, state: ClientState, z: _InducingBlocks,
@@ -254,12 +246,15 @@ class _SampleCache:
         self.alpha = solved[:, -1]
         self.mean = state.nu + self.k_tz @ self.alpha
         explained = np.sum(self.k_tz * self.beta, axis=1)
-        smoothed = np.sum((self.beta @ state.q_u.cov) * self.beta, axis=1)
+        self.beta_cov = self.beta @ state.q_u.cov
+        smoothed = np.sum(self.beta_cov * self.beta, axis=1)
         self.var = r - explained + smoothed
 
 
 def _inducing_blocks(state, w):
-    return [_InducingBlocks(state, row) for row in _w_matrix(w, state.spec)]
+    """Blocks for each row of ``w``, a packed vector or a sample matrix."""
+    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
+    return [_InducingBlocks(state, row) for row in w]
 
 
 def _caches(state, w, times, blocks=None):
@@ -393,30 +388,31 @@ def update_scale(state: ClientState) -> float:
     return state.m
 
 
-def _event_terms(state, ef, ef2, idx):
-    """Per-event augmented-likelihood terms at the current tilting."""
-    c = state.pg[idx]
-    omega = pg_mean(c)
+def _tilted_terms(m, sign, ef, ef2, c):
+    """``log m + sign E[f]/2 - E[omega](E[f^2] - c^2)/2 - log 2cosh(c/2)``.
+
+    ``sign`` is +1 at events and -1 on the thinned-out latent process.
+    """
     return (
-        math.log(state.m)
-        + 0.5 * ef
-        - 0.5 * omega * (ef2 - c * c)
+        math.log(m)
+        + sign * 0.5 * ef
+        - 0.5 * pg_mean(c) * (ef2 - c * c)
         - log_2cosh(0.5 * c)
     )
+
+
+def _event_terms(state, ef, ef2, idx):
+    """Per-event augmented-likelihood terms at the current tilting."""
+    return _tilted_terms(state.m, 1.0, ef, ef2, state.pg[idx])
 
 
 def _grid_term(state, ef, ef2):
     """Integrated latent-process terms, counted once per sequence."""
     lam = state.latent_rate
-    c = state.latent_c
-    omega = pg_mean(c)
     integrand = np.zeros_like(lam)
     pos = lam > 0.0
     integrand[pos] = lam[pos] * (
-        math.log(state.m)
-        - 0.5 * ef[pos]
-        - 0.5 * omega[pos] * (ef2[pos] - c[pos] * c[pos])
-        - log_2cosh(0.5 * c[pos])
+        _tilted_terms(state.m, -1.0, ef[pos], ef2[pos], state.latent_c[pos])
         - np.log(lam[pos])
         + 1.0
     )
@@ -495,8 +491,7 @@ def elbo(state: ClientState, theta: DiagGaussian, n_w_samples: int,
     Deterministic given ``noise_seed``; the kernel-parameter expectation
     uses ``n_w_samples`` reparameterized draws from the client's phi.
     """
-    w = draw_w_samples(state.phi, n_w_samples, noise_seed)
-    return augmented_elbo(state, w) - kl_diag(state.phi, theta)
+    return -local_objective(state, theta, None, n_w_samples, noise_seed)
 
 
 def local_objective(state: ClientState, theta: DiagGaussian, batch=None,
@@ -504,7 +499,7 @@ def local_objective(state: ClientState, theta: DiagGaussian, batch=None,
     """Negative sampled bound, with event terms rescaled to a mini-batch.
 
     ``batch`` is as in :func:`augmented_elbo`; the prior-divergence term
-    keeps full weight.  With ``batch=None`` this is exactly ``-elbo``.
+    keeps full weight.  With ``batch=None`` this is ``-elbo``.
     """
     w = draw_w_samples(state.phi, n_w_samples, noise_seed)
     return -(augmented_elbo(state, w, batch) - kl_diag(state.phi, theta))
@@ -534,7 +529,7 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     grad_w = np.zeros((len(caches), state.phi.dim))
     for s, c in enumerate(caches):
         beta = c.beta
-        gamma = solve_with(c.z.factor, (beta @ sigma_u).T).T
+        gamma = solve_with(c.z.factor, c.beta_cov.T).T
         u_t = a_t - b_t * c.mean
         d_k_tz = u_t[:, None] * c.alpha[None, :] + b_t[:, None] * (beta - gamma)
         coeff_tt = -0.5 * float(np.sum(b_t))

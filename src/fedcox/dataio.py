@@ -109,8 +109,9 @@ class RbfSpec:
     length_scale: float
 
     def __post_init__(self):
-        if self.variance <= 0 or self.length_scale <= 0:
-            raise ValueError("variance and length_scale must be positive")
+        check_setting("variance", self.variance, float, low=0, strict=True)
+        check_setting("length_scale", self.length_scale, float, low=0,
+                      strict=True)
 
     def gram(self, times_a, times_b) -> np.ndarray:
         a = np.asarray(times_a, dtype=np.float64)[:, None]
@@ -294,13 +295,6 @@ def save_jsonl(seqs: list[EventSequence], path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _slice_events(seq: EventSequence, mask) -> EventSequence:
-    marks = seq.marks[mask] if seq.marks is not None else None
-    return EventSequence(
-        times=seq.times[mask], horizon=NORMALIZED_HORIZON, marks=marks
-    )
-
-
 def normalize_and_split(seqs: list[EventSequence]) -> DatasetSplit:
     """Rescale every timeline to [0, 100] and split at 60 / 80 by timestamp."""
     if not seqs:
@@ -308,13 +302,14 @@ def normalize_and_split(seqs: list[EventSequence]) -> DatasetSplit:
     lo, hi = TRAIN_FRACTION * NORMALIZED_HORIZON, VAL_FRACTION * NORMALIZED_HORIZON
     train, val, test = [], [], []
     for seq in seqs:
-        scale = NORMALIZED_HORIZON / seq.horizon
-        scaled = EventSequence(
-            times=seq.times * scale, horizon=NORMALIZED_HORIZON, marks=seq.marks
-        )
-        train.append(_slice_events(scaled, scaled.times <= lo))
-        val.append(_slice_events(scaled, (scaled.times > lo) & (scaled.times <= hi)))
-        test.append(_slice_events(scaled, scaled.times > hi))
+        times = seq.times * (NORMALIZED_HORIZON / seq.horizon)
+        for part, mask in ((train, times <= lo),
+                           (val, (times > lo) & (times <= hi)),
+                           (test, times > hi)):
+            part.append(EventSequence(
+                times=times[mask], horizon=NORMALIZED_HORIZON,
+                marks=None if seq.marks is None else seq.marks[mask],
+            ))
     return DatasetSplit(train=train, val=val, test=test)
 
 

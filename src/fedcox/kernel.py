@@ -14,8 +14,11 @@ by :data:`PACKING_VERSION`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .numerics import check_setting
 
 __all__ = [
     "PACKING_VERSION",
@@ -45,15 +48,14 @@ class EncoderSpec:
     the same model must share it.
     """
 
-    hidden_dim: int = 32
-    output_dim: int = 8
+    hidden_dim: int
+    output_dim: int
     t_norm: float = 1.0
 
     def __post_init__(self):
-        if self.hidden_dim < 1 or self.output_dim < 1:
-            raise ValueError("hidden_dim and output_dim must be >= 1")
-        if self.t_norm <= 0:
-            raise ValueError("t_norm must be positive")
+        check_setting("hidden_dim", self.hidden_dim, int, low=1)
+        check_setting("output_dim", self.output_dim, int, low=1)
+        check_setting("t_norm", self.t_norm, float, low=0, strict=True)
 
     @property
     def n_net_params(self) -> int:
@@ -108,12 +110,10 @@ def init_kernel_params(spec: EncoderSpec, seed: int) -> np.ndarray:
     Net weights ~ N(0, 1/fan_in), biases zero, log_r = log_l = 0.
     """
     rng = np.random.default_rng(seed)
-    h, d = spec.hidden_dim, spec.output_dim
-    packed = np.zeros(spec.n_params)
-    packed[0:h] = rng.standard_normal(h)  # fan_in = 1
-    w2 = rng.standard_normal((d, h)) / np.sqrt(h)
-    packed[2 * h:2 * h + d * h] = w2.ravel()
-    return packed
+    p = KernelParams(np.zeros(spec.n_params), spec)
+    p.w1[:] = rng.standard_normal(spec.hidden_dim)  # fan_in = 1
+    p.w2[:] = rng.standard_normal(p.w2.shape) / np.sqrt(spec.hidden_dim)
+    return p.packed
 
 
 def _as_params(params, spec: EncoderSpec) -> KernelParams:
@@ -128,25 +128,17 @@ def embed(times, params, spec: EncoderSpec) -> np.ndarray:
     ``times`` may be a scalar or a vector; output is (output_dim,) or
     (n, output_dim) accordingly.
     """
-    p = _as_params(params, spec)
-    t = np.asarray(times, dtype=np.float64)
-    scalar = t.ndim == 0
-    x = np.atleast_1d(t) / spec.t_norm
-    a = np.tanh(np.outer(x, p.w1) + p.b1)  # (n, hidden)
-    out = a @ p.w2.T + p.b2  # (n, out)
-    return out[0] if scalar else out
+    out = embed_with_tape(times, params, spec).out
+    return out[0] if np.ndim(times) == 0 else out
 
 
-class EmbedTape:
+class EmbedTape(NamedTuple):
     """Forward activations needed to backpropagate through the feature map."""
 
-    __slots__ = ("out", "act", "dact", "x")
-
-    def __init__(self, out, act, dact, x):
-        self.out = out
-        self.act = act
-        self.dact = dact
-        self.x = x
+    out: np.ndarray  # (n, output_dim) embeddings
+    act: np.ndarray  # (n, hidden_dim) tanh activations
+    dact: np.ndarray  # their derivatives, 1 - act**2
+    x: np.ndarray  # (n,) normalized times
 
 
 def embed_with_tape(times, params, spec: EncoderSpec) -> EmbedTape:
@@ -313,23 +305,27 @@ def accumulate_param_grad(
     h_z, h_t = tape_z.out, tape_t.out
     grad = np.zeros(spec.n_params)
 
+    # Each entry's coefficient times its kernel value.
+    ck_zz = coeff_zz * k_zz
+    ck_tz = coeff_tz * k_tz
+
     # log_r: every kernel entry (and the jitter) is proportional to e^{log_r}.
     grad[-2] = (
-        float(np.sum(coeff_zz * k_zz))
-        + float(np.sum(coeff_tz * k_tz))
+        float(np.sum(ck_zz))
+        + float(np.sum(ck_tz))
         + coeff_tt_sum * p.r
         + k_zz_jitter * float(np.trace(np.atleast_2d(coeff_zz)))
     )
     # log_l: entry * ||dh||^2 / l^2 (diagonal entries have zero distance).
     grad[-1] = (
-        float(np.sum(coeff_zz * k_zz * d2_zz))
-        + float(np.sum(coeff_tz * k_tz * d2_tz))
+        float(np.sum(ck_zz * d2_zz))
+        + float(np.sum(ck_tz * d2_tz))
     ) / ell2
 
     # Net weights: entry-level factor -k/l^2 * (h_x - h_y)^T (dh_x - dh_y),
     # aggregated so each point is backpropagated once.
-    c_zz = -(coeff_zz * k_zz) / ell2  # symmetric
-    c_tz = -(coeff_tz * k_tz) / ell2
+    c_zz = -ck_zz / ell2  # symmetric
+    c_tz = -ck_tz / ell2
     # zz block: sum_ij c_ij (h_i - h_j)^T (dh_i - dh_j) = 2 sum_i v_i^T dh_i
     v_z = 2.0 * (c_zz.sum(axis=1)[:, None] * h_z - c_zz @ h_z)
     # tz block: rows are times, columns inducing points

@@ -92,8 +92,7 @@ class QuadratureGrid:
         weights = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        check_setting("horizon", self.horizon, float, low=0, strict=True)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be equal-length vectors")
         if np.any(np.diff(nodes) <= 0):
@@ -193,7 +192,9 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
     near-singular kernel grams continuous in the kernel parameters (the
     clean-first policy makes them jump wherever a parameter perturbation
     flips factorization success).  Returns ``(factor, jitter_used)`` where
-    ``factor`` feeds :func:`solve_with` / :func:`chol_logdet`.
+    ``factor`` feeds :func:`solve_with` / :func:`chol_logdet`.  A matrix
+    with a NaN or infinite entry in its lower triangle raises
+    :class:`FactorizationError`.
     """
     a = np.asarray(a, dtype=np.float64)
     scale = float(np.mean(np.diag(a)))
@@ -206,6 +207,10 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
         # bit-identical; its upper triangle is left as the input had it.
         c, info = dpotrf(a + jitter * eye, lower=True, clean=False)
         if info == 0:
+            # OpenBLAS reports success on non-finite input; any NaN or inf
+            # in the triangle it reads reaches the factor's diagonal.
+            if not np.isfinite(np.diag(c)).all():
+                raise FactorizationError(f"{label}: matrix has non-finite entries")
             return (c, True), jitter
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
@@ -244,8 +249,7 @@ def solve_with(factor, b):
 
 def trapezoid_grid(horizon: float, n_nodes: int) -> QuadratureGrid:
     """Uniform trapezoid rule on [0, horizon] with endpoints included."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    check_setting("horizon", horizon, float, low=0, strict=True)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     nodes = np.linspace(0.0, horizon, n_nodes)

@@ -324,6 +324,47 @@ class TestTrain:
                      "--metrics", str(metrics), "--rounds", "1"]) == 0
         assert len(metrics.read_text().strip().splitlines()) == 2
 
+    def test_every_override_flag_reaches_the_config(self, monkeypatch):
+        seen = {}
+
+        def capture(path, overrides):
+            seen.update(overrides)
+            raise cli.ConfigError("stop")
+
+        monkeypatch.setattr(cli, "load_config", capture)
+        assert main(["train", "--data", "d", "--metrics", "m", "--seed", "3",
+                     "--aggregation", "w2", "--rounds", "4", "--clients", "5",
+                     "--participants", "2", "--local-epochs", "6",
+                     "--straggle-period", "7"]) == 2
+        assert seen == {"seed": 3, "aggregation": "w2", "rounds": 4,
+                        "clients": 5, "participants": 2, "local_epochs": 6,
+                        "straggle_period": 7}
+
+    @pytest.mark.parametrize("horizon, message", [
+        (float("nan"), "metadata.json horizon must be finite"),
+        ("abc", "metadata.json horizon must be a number"),
+        (None, "metadata.json horizon must be a number"),
+        (0.5, "client_00.train.jsonl holds a sequence beyond the metadata.json "
+              "horizon 0.5"),
+    ], ids=["nan", "string", "null", "short"])
+    def test_bad_metadata_horizon_rejected(self, tmp_path, config_path,
+                                           data_dir, capsys, horizon, message,
+                                           monkeypatch):
+        meta_path = os.path.join(data_dir, "metadata.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        meta["horizon"] = horizon
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        started = []
+        monkeypatch.setattr(cli, "run_training",
+                            lambda *a, **k: started.append(1))
+        capsys.readouterr()
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert not started
+
     def test_time_split_workflow(self, tmp_path, time_layout):
         cfg_path, data = time_layout
         metrics = tmp_path / "metrics.csv"
@@ -369,6 +410,30 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
         assert "'config'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value, message", [
+        (("clients", 0, "m"), float("nan"), "client 0 m must be finite"),
+        (("clients", 0, "m"), -3.0, "client 0 m must be > 0"),
+        (("clients", 0, "nu"), float("inf"), "client 0 nu must be finite"),
+        (("clients", 0, "inducing", "mean", 1), float("nan"),
+         "inducing posterior entries must be finite"),
+        (("encoder", "t_norm"), float("nan"), "t_norm must be finite"),
+    ], ids=["m-nan", "m-negative", "nu-inf", "inducing-nan", "t_norm-nan"])
+    def test_bad_model_numbers_rejected(self, tmp_path, config_path, data_dir,
+                                        capsys, where, value, message):
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        node = payload
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, tmp_path, data_dir):
         assert main(["eval", "--model", str(tmp_path / "nope.json"),

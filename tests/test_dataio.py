@@ -179,6 +179,15 @@ class TestSimulateClient:
         assert not np.array_equal(lam_a, lam_b)
 
 
+class TestRbfSpec:
+    @pytest.mark.parametrize("variance, length", [
+        (np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, 0.0),
+    ])
+    def test_rejects_bad_kernel(self, variance, length):
+        with pytest.raises(ValueError):
+            RbfSpec(variance, length)
+
+
 class TestGridResolution:
     """The ground-truth grid must resolve the kernel: length >= 2 spacings."""
 

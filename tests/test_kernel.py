@@ -8,6 +8,7 @@ from fedcox.kernel import (
     _sqdist,
     embed,
     embed_with_jacobian,
+    embed_with_tape,
     init_kernel_params,
     kernel_eval,
     kernel_grad,
@@ -36,6 +37,17 @@ def embed_reference(t, packed, spec):
     return np.array(
         [sum(w2[k, j] * hidden[j] for j in range(h)) + b2[k] for k in range(d)]
     )
+
+
+def init_reference(spec, seed):
+    """The packed initial means written by explicit layout offsets."""
+    rng = np.random.default_rng(seed)
+    h, d = spec.hidden_dim, spec.output_dim
+    packed = np.zeros(spec.n_params)
+    packed[0:h] = rng.standard_normal(h)  # fan_in = 1
+    w2 = rng.standard_normal((d, h)) / np.sqrt(h)
+    packed[2 * h:2 * h + d * h] = w2.ravel()
+    return packed
 
 
 class TestPacking:
@@ -74,8 +86,41 @@ class TestPacking:
         assert a[-2] == 0.0 and a[-1] == 0.0  # log_r, log_l
         assert np.all(a[5:10] == 0.0)  # first-layer biases
 
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2), (32, 8)])
+    def test_init_matches_offset_layout_bytes(self, dims):
+        spec = EncoderSpec(hidden_dim=dims[0], output_dim=dims[1])
+        for seed in (0, 7):
+            got = init_kernel_params(spec, seed)
+            assert got.tobytes() == init_reference(spec, seed).tobytes()
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"hidden_dim": 2, "output_dim": 2, "t_norm": np.nan}, ValueError),
+        ({"hidden_dim": 2, "output_dim": 2, "t_norm": np.inf}, ValueError),
+        ({"hidden_dim": 2.5, "output_dim": 2}, TypeError),
+        ({"hidden_dim": True, "output_dim": 2}, TypeError),
+    ], ids=["t_norm-nan", "t_norm-inf", "hidden-float", "hidden-bool"])
+    def test_rejects_bad_setting(self, kwargs, error):
+        with pytest.raises(error):
+            EncoderSpec(**kwargs)
+
+    def test_shape_has_no_default(self):
+        with pytest.raises(TypeError):
+            EncoderSpec()
+
 
 class TestEmbed:
+    @pytest.mark.parametrize("times", [0.37, np.float64(1.2), [0.0, 0.4, 2.5]])
+    def test_embed_is_the_tape_output(self, times):
+        spec = tiny_spec(t_norm=2.5)
+        packed = random_params(spec, 12)
+        out = embed_with_tape(times, packed, spec).out
+        got = embed(times, packed, spec)
+        want = out[0] if np.ndim(times) == 0 else out
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_zero_weights_give_zero(self):
         spec = tiny_spec()
         packed = np.zeros(spec.n_params)

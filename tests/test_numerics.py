@@ -10,6 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from fedcox.numerics import (
     DiagGaussian,
     FactorizationError,
+    QuadratureGrid,
     check_setting,
     chol_factor_jittered,
     kl_diag,
@@ -327,6 +328,23 @@ class TestCholSolve:
         ref = cho_solve(factor, b)
         assert got.shape == ref.shape == (3, 0) and got.dtype == ref.dtype
 
+    @pytest.mark.parametrize("case", ["all-inf", "all-nan", "inf-diagonal",
+                                      "nan-off-diagonal"])
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_non_finite_matrix_raises(self, case, baseline):
+        a = np.eye(4) * 2.0 + 0.1
+        if case == "all-inf":
+            a[:] = np.inf
+        elif case == "all-nan":
+            a[:] = np.nan
+        elif case == "inf-diagonal":
+            a[2, 2] = np.inf
+        else:
+            a[3, 1] = a[1, 3] = np.nan
+        with pytest.raises(FactorizationError,
+                           match="bad gram: matrix has non-finite entries"):
+            chol_factor_jittered(a, "bad gram", baseline=baseline)
+
     def test_error_names_matrix(self):
         a = np.array([[1.0, 0.0], [0.0, -5.0]])  # indefinite beyond max jitter
         with pytest.raises(FactorizationError, match="doomed gram"):
@@ -360,6 +378,13 @@ class TestTrapezoidGrid:
             trapezoid_grid(0.0, 5)
         with pytest.raises(ValueError):
             trapezoid_grid(1.0, 1)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            trapezoid_grid(horizon, 5)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            QuadratureGrid(np.array([0.0, 1.0]), np.array([0.5, 0.5]), horizon)
 
 
 class TestCheckSetting:

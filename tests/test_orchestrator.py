@@ -251,6 +251,27 @@ class TestRunRound:
         for cid in range(3):
             assert states_equal(clients[cid], snapshot[cid])
 
+    def test_non_finite_kernel_gram_aborts_round(self):
+        # log_r = 800 overflows r to inf: the inducing gram is non-finite.
+        rng = np.random.default_rng(3)
+        config = tiny_config(n_clients=3, participants_per_round=2)
+        server, clients = build_clients(config, tiny_dataset(rng, 3), 1.0)
+        victim = sample_participants(0, config)[-1]
+        mean = clients[victim].phi.mean.copy()
+        mean[-2] = 800.0
+        clients[victim].phi = DiagGaussian(mean, clients[victim].phi.var)
+        theta0 = server.theta
+        snapshot = [copy.deepcopy(c) for c in clients]
+        with np.errstate(all="ignore"), pytest.raises(
+            RoundError,
+            match=f"client {victim} failed: client {victim} inducing gram",
+        ):
+            run_round(server, clients, config)
+        assert server.theta is theta0
+        assert server.round == 0
+        for cid in range(3):
+            assert states_equal(clients[cid], snapshot[cid])
+
     def test_metrics_shape(self):
         rng = np.random.default_rng(4)
         config = tiny_config()
