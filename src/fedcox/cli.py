@@ -255,6 +255,7 @@ def load_model(path):
     spec = EncoderSpec(**payload["encoder"])
     clients = []
     for rec in payload["clients"]:
+        check_setting("client id", rec["id"], int, low=0)
         check_setting(f"client {rec['id']} m", rec["m"], float, low=0,
                       strict=True)
         check_setting(f"client {rec['id']} nu", rec["nu"], float)
@@ -359,16 +360,14 @@ def _load_dataset(data, cfg):
             test_path = data_dir / f"client_{cid:02d}.test.jsonl"
             test_sets.append(load(test_path) if test_path.exists() else [])
         return train_sets, test_sets, horizon, horizon, (0.0, horizon)
-    split = dataio.normalize_and_split(dataio.load_jsonl(data))
-    sets = []
-    for part in (split.train, split.test):
-        plan = dataio.partition_heterogeneous(
-            part, cfg["event_types"], cfg["types_per_client"], n_clients,
-            cfg["seed"],
-        )
-        sets.append([plan.client_seqs[c] for c in range(n_clients)])
-    lo, hi = split.boundaries
-    return sets[0], sets[1], split.horizon, lo, (hi, split.horizon)
+    plan = dataio.partition_heterogeneous(
+        dataio.load_jsonl(data), cfg["event_types"], cfg["types_per_client"],
+        n_clients, cfg["seed"],
+    )
+    horizon = dataio.NORMALIZED_HORIZON
+    lo, hi = dataio.SPLIT_BOUNDARIES
+    return ([plan.train[c] for c in range(n_clients)],
+            [plan.test[c] for c in range(n_clients)], horizon, lo, (hi, horizon))
 
 
 def cmd_train(args) -> int:
@@ -404,9 +403,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _by_client_id(states, n_clients):
+    """``states`` in client-id order; the ids must be exactly 0..n-1."""
+    ids = [state.id for state in states]
+    if sorted(ids) != list(range(n_clients)):
+        expected = set(range(n_clients))
+        raise ValueError(
+            f"model client ids {ids} are not the data's clients "
+            f"0..{n_clients - 1}: missing {sorted(expected - set(ids))}, "
+            f"extra {sorted(set(ids) - expected)}"
+        )
+    return sorted(states, key=lambda state: state.id)
+
+
 def cmd_eval(args) -> int:
     cfg, states = load_model(args.model)
     _, test_sets, _, _, interval = _load_dataset(args.data, cfg)
+    states = _by_client_id(states, len(test_sets))
     values = []
     for state, test_seqs in zip(states, test_sets):
         if not test_seqs:

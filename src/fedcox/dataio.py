@@ -36,6 +36,10 @@ log = logging.getLogger(__name__)
 NORMALIZED_HORIZON = 100.0
 TRAIN_FRACTION = 0.6
 VAL_FRACTION = 0.8
+# The normalized timeline is cut after these times: train, val, test.
+SPLIT_BOUNDARIES = (
+    TRAIN_FRACTION * NORMALIZED_HORIZON, VAL_FRACTION * NORMALIZED_HORIZON,
+)
 GROUND_TRUTH_GRID = 512
 
 
@@ -86,19 +90,20 @@ class DatasetSplit:
     train: list
     val: list
     test: list
-    boundaries: tuple = (
-        TRAIN_FRACTION * NORMALIZED_HORIZON,
-        VAL_FRACTION * NORMALIZED_HORIZON,
-    )
+    boundaries: tuple = SPLIT_BOUNDARIES
     horizon: float = NORMALIZED_HORIZON
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Client id -> assigned event types and per-client sequences."""
+    """Client id -> assigned event types and train and test sequences.
+
+    Each client's sequences are listed in the order they were dealt.
+    """
 
     assignments: dict
-    client_seqs: dict
+    train: dict
+    test: dict
 
 
 @dataclass(frozen=True)
@@ -295,30 +300,58 @@ def save_jsonl(seqs: list[EventSequence], path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def _scale_and_cut(seq: EventSequence):
+    """``seq``'s times rescaled to [0, 100], with its train and test masks.
+
+    Train is ``t <= 60`` and test ``t > 80``; validation is what neither
+    mask holds, so an event at exactly 60 is train and one at exactly 80
+    validation.
+    """
+    lo, hi = SPLIT_BOUNDARIES
+    # Every time is at most the horizon, but its product with the rounded
+    # scale can exceed 100 by an ulp; such an event is at 100.
+    times = np.minimum(seq.times * (NORMALIZED_HORIZON / seq.horizon),
+                       NORMALIZED_HORIZON)
+    return times, times <= lo, times > hi
+
+
+def _part(times, marks, mask) -> EventSequence:
+    return EventSequence(times=times[mask], horizon=NORMALIZED_HORIZON,
+                         marks=None if marks is None else marks[mask])
+
+
 def normalize_and_split(seqs: list[EventSequence]) -> DatasetSplit:
     """Rescale every timeline to [0, 100] and split at 60 / 80 by timestamp."""
     if not seqs:
         raise ValueError("cannot split an empty dataset")
-    lo, hi = TRAIN_FRACTION * NORMALIZED_HORIZON, VAL_FRACTION * NORMALIZED_HORIZON
     train, val, test = [], [], []
     for seq in seqs:
-        times = seq.times * (NORMALIZED_HORIZON / seq.horizon)
-        for part, mask in ((train, times <= lo),
-                           (val, (times > lo) & (times <= hi)),
-                           (test, times > hi)):
-            part.append(EventSequence(
-                times=times[mask], horizon=NORMALIZED_HORIZON,
-                marks=None if seq.marks is None else seq.marks[mask],
-            ))
+        times, in_train, in_test = _scale_and_cut(seq)
+        train.append(_part(times, seq.marks, in_train))
+        val.append(_part(times, seq.marks, ~(in_train | in_test)))
+        test.append(_part(times, seq.marks, in_test))
     return DatasetSplit(train=train, val=val, test=test)
 
 
-def partition_heterogeneous(seqs, n_types, k, n_clients, seed) -> PartitionPlan:
-    """Assign k of the n_types event types to each client and deal sequences.
+def _of_types(marks, types) -> np.ndarray:
+    """``np.isin(marks, types)``, by one equality test per type."""
+    keep = np.zeros(marks.shape, dtype=bool)
+    for t in types:
+        keep |= marks == t
+    return keep
 
-    Sequences are shuffled once and dealt round-robin (counts equal within
-    one); each client then sees only the events of its own types.
+
+def partition_heterogeneous(seqs, n_types, k, n_clients, seed) -> PartitionPlan:
+    """Split every sequence by timestamp and deal it to a client by type.
+
+    Each client is assigned k of the n_types event types.  Sequences are
+    shuffled once and dealt round-robin (counts equal within one); each
+    one's timeline is rescaled and cut as in :func:`normalize_and_split`,
+    and its client keeps the train and test events of the client's own
+    types.  Marks outside ``[0, n_types)`` reach no client.
     """
+    if not seqs:
+        raise ValueError("cannot split an empty dataset")
     if k >= n_types:
         raise ValueError(f"k must be < number of event types ({k} >= {n_types})")
     if any(seq.marks is None for seq in seqs):
@@ -329,14 +362,13 @@ def partition_heterogeneous(seqs, n_types, k, n_clients, seed) -> PartitionPlan:
         for c in range(n_clients)
     }
     order = rng.permutation(len(seqs))
-    client_seqs = {c: [] for c in range(n_clients)}
+    train = {c: [] for c in range(n_clients)}
+    test = {c: [] for c in range(n_clients)}
     for pos, seq_idx in enumerate(order):
         c = pos % n_clients
         seq = seqs[seq_idx]
-        mask = np.isin(seq.marks, assignments[c])
-        client_seqs[c].append(
-            EventSequence(
-                times=seq.times[mask], horizon=seq.horizon, marks=seq.marks[mask]
-            )
-        )
-    return PartitionPlan(assignments=assignments, client_seqs=client_seqs)
+        times, in_train, in_test = _scale_and_cut(seq)
+        keep = _of_types(seq.marks, assignments[c])
+        train[c].append(_part(times, seq.marks, in_train & keep))
+        test[c].append(_part(times, seq.marks, in_test & keep))
+    return PartitionPlan(assignments=assignments, train=train, test=test)

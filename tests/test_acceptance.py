@@ -410,6 +410,7 @@ def _recovery_run(data_seed, kernel_pair):
     return rmse < rmse_hp, ll > ll_hp, rmse, rmse_hp, ll, ll_hp
 
 
+@pytest.mark.slow
 def test_criterion_08_synthetic_recovery():
     pairs = [[1.5, 10.0], [2.0, 8.0]]
     rows = []
@@ -456,6 +457,7 @@ def _ordering_loglik(kind, seed):
     ]))
 
 
+@pytest.mark.slow
 def test_criterion_09_aggregation_ordering():
     seeds = (1, 2, 3, 4, 5)
     means = {}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedcox import cli
+from fedcox import cli, dataio
 from fedcox.aggregation import AggregationMethod
 from fedcox.cli import (
     fed_config,
@@ -379,6 +379,33 @@ class TestTrain:
         assert payload["train_window"] == 60.0
         assert payload["eval_interval"] == [80.0, 100.0]
 
+    def test_time_split_builds_each_part_once(self, time_layout,
+                                              monkeypatch):
+        # Each input line becomes one loaded sequence and one train and
+        # one test sequence of its client; nothing is masked by np.isin.
+        cfg_path, data = time_layout
+        cfg = load_config(cfg_path)
+        counts = {"sequences": 0, "isin": 0}
+        post_init, isin = dataio.EventSequence.__post_init__, np.isin
+
+        def counted_post_init(seq):
+            counts["sequences"] += 1
+            post_init(seq)
+
+        def counted_isin(*args, **kwargs):
+            counts["isin"] += 1
+            return isin(*args, **kwargs)
+
+        monkeypatch.setattr(dataio.EventSequence, "__post_init__",
+                            counted_post_init)
+        monkeypatch.setattr(np, "isin", counted_isin)
+        train, test, *_ = cli._load_dataset(data, cfg)
+        with open(data, encoding="utf-8") as fh:
+            lines = len(fh.read().splitlines())
+        assert sum(map(len, train)) == sum(map(len, test)) == lines
+        assert counts["sequences"] <= 3 * lines
+        assert counts["isin"] == 0
+
 
 class TestEval:
     @pytest.mark.parametrize("split", ["sequence", "time"])
@@ -397,6 +424,42 @@ class TestEval:
         out = capsys.readouterr().out
         reported = float(out.strip().splitlines()[-1].split()[-1])
         assert reported == pytest.approx(final_mean, abs=1e-9)
+
+    def test_clients_paired_by_id(self, tmp_path, config_path, data_dir,
+                                  capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
+        original = capsys.readouterr().out
+        assert re.search(r"^client 0: .*^client 1: ", original, re.M | re.S)
+        payload = json.loads(model.read_text())
+        payload["clients"].reverse()
+        model.write_text(json.dumps(payload))
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
+        assert capsys.readouterr().out == original
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda clients: clients.pop(), "missing [1], extra []"),
+        (lambda clients: clients[1].update(id=5), "missing [1], extra [5]"),
+        (lambda clients: clients[0].update(id=1), "missing [0], extra []"),
+    ], ids=["truncated", "unknown-id", "repeated-id"])
+    def test_client_ids_must_match_the_data(self, tmp_path, config_path,
+                                            data_dir, capsys, edit, message):
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        edit(payload["clients"])
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "test loglik" not in captured.out
 
     def test_model_without_config_rejected(self, tmp_path, config_path,
                                            data_dir, capsys):
@@ -418,7 +481,10 @@ class TestEval:
         (("clients", 0, "inducing", "mean", 1), float("nan"),
          "inducing posterior entries must be finite"),
         (("encoder", "t_norm"), float("nan"), "t_norm must be finite"),
-    ], ids=["m-nan", "m-negative", "nu-inf", "inducing-nan", "t_norm-nan"])
+        (("clients", 0, "id"), "0", "client id must be an integer"),
+        (("clients", 0, "id"), -1, "client id must be >= 0"),
+    ], ids=["m-nan", "m-negative", "nu-inf", "inducing-nan", "t_norm-nan",
+            "id-string", "id-negative"])
     def test_bad_model_numbers_rejected(self, tmp_path, config_path, data_dir,
                                         capsys, where, value, message):
         model = tmp_path / "model.json"

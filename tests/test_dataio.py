@@ -382,6 +382,18 @@ class TestNormalizeAndSplit:
         assert len(split.val[0]) == 0
         np.testing.assert_allclose(split.test[0].times, [100.0])
 
+    def test_event_at_the_horizon_is_at_100(self):
+        # The scale 100 / h rounds so that h * (100 / h) exceeds 100; a
+        # sequence whose horizon defaults to its last time hits this.
+        h = 44.265431030687196
+        assert h * (100.0 / h) > 100.0
+        seq = EventSequence(times=np.array([1.0, h]), horizon=h,
+                            marks=np.array([0, 0]))
+        assert normalize_and_split([seq]).test[0].times.tolist() == [100.0]
+        plan = partition_heterogeneous([seq] * 8, 2, 1, 8, 0)
+        tests = [s.times.tolist() for c in range(8) for s in plan.test[c]]
+        assert [100.0] in tests and all(t in ([], [100.0]) for t in tests)
+
     def test_rescaling(self):
         seq = EventSequence(times=np.array([5.0]), horizon=10.0)
         split = normalize_and_split([seq])
@@ -431,6 +443,200 @@ def marked_sequences(rng, n_seqs, n_types):
     return seqs
 
 
+def reference_split(seqs):
+    """``normalize_and_split`` as it was before the one-pass partition."""
+    if not seqs:
+        raise ValueError("cannot split an empty dataset")
+    lo, hi = 0.6 * 100.0, 0.8 * 100.0
+    train, val, test = [], [], []
+    for seq in seqs:
+        times = seq.times * (100.0 / seq.horizon)
+        for part, mask in ((train, times <= lo),
+                           (val, (times > lo) & (times <= hi)),
+                           (test, times > hi)):
+            part.append(EventSequence(
+                times=times[mask], horizon=100.0,
+                marks=None if seq.marks is None else seq.marks[mask],
+            ))
+    return train, val, test
+
+
+def reference_partition(seqs, n_types, k, n_clients, seed):
+    """``partition_heterogeneous`` as it was, on already split sequences.
+
+    Returns ``(assignments, client_seqs)``.
+    """
+    if k >= n_types:
+        raise ValueError(f"k must be < number of event types ({k} >= {n_types})")
+    if any(seq.marks is None for seq in seqs):
+        raise ValueError("heterogeneous partitioning requires marked sequences")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9A27]))
+    assignments = {
+        c: tuple(sorted(rng.choice(n_types, size=k, replace=False).tolist()))
+        for c in range(n_clients)
+    }
+    order = rng.permutation(len(seqs))
+    client_seqs = {c: [] for c in range(n_clients)}
+    for pos, seq_idx in enumerate(order):
+        c = pos % n_clients
+        seq = seqs[seq_idx]
+        mask = np.isin(seq.marks, assignments[c])
+        client_seqs[c].append(
+            EventSequence(
+                times=seq.times[mask], horizon=seq.horizon, marks=seq.marks[mask]
+            )
+        )
+    return assignments, client_seqs
+
+
+def reference_plan(seqs, n_types, k, n_clients, seed):
+    """Split first, then partition the train and the test part apart."""
+    train, _, test = reference_split(seqs)
+    assignments, train_seqs = reference_partition(train, n_types, k,
+                                                  n_clients, seed)
+    _, test_seqs = reference_partition(test, n_types, k, n_clients, seed)
+    return assignments, train_seqs, test_seqs
+
+
+def assert_same_sequences(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.horizon == b.horizon
+        assert a.times.dtype == b.times.dtype
+        assert a.times.tobytes() == b.times.tobytes()
+        assert (a.marks is None) == (b.marks is None)
+        if a.marks is not None:
+            assert a.marks.dtype == b.marks.dtype
+            assert a.marks.tobytes() == b.marks.tobytes()
+
+
+def assert_matches_reference(seqs, n_types, k, n_clients, seed):
+    plan = partition_heterogeneous(seqs, n_types, k, n_clients, seed)
+    assignments, train, test = reference_plan(seqs, n_types, k, n_clients,
+                                              seed)
+    assert plan.assignments == assignments
+    assert set(plan.train) == set(plan.test) == set(range(n_clients))
+    for c in range(n_clients):
+        assert_same_sequences(plan.train[c], train[c])
+        assert_same_sequences(plan.test[c], test[c])
+    return plan
+
+
+def marked(times, marks, horizon):
+    return EventSequence(times=np.asarray(times, dtype=np.float64),
+                         horizon=horizon, marks=np.asarray(marks))
+
+
+def random_marked(rng, n_seqs, n_types, low=0, high=None):
+    """Marked sequences of random length, horizon, ties and marks."""
+    high = n_types if high is None else high
+    seqs = []
+    for _ in range(n_seqs):
+        horizon = float(rng.choice([100.0, rng.uniform(0.5, 500.0)]))
+        n = int(rng.integers(0, 30))
+        times = np.sort(rng.uniform(0.0, horizon, n))
+        if n > 3:
+            times[1] = times[2]  # a tie
+        seqs.append(marked(times, rng.integers(low, high, n), horizon))
+    return seqs
+
+
+class TestNormalizeAndSplitOracle:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng([seed, 41])
+        seqs = random_marked(rng, 6, 5)
+        seqs.append(EventSequence(times=np.array([0.0, 30.0, 30.0, 40.0, 50.0]),
+                                  horizon=50.0))
+        split = normalize_and_split(seqs)
+        for got, want in zip((split.train, split.val, split.test),
+                             reference_split(seqs)):
+            assert_same_sequences(got, want)
+
+
+class TestPartitionOracle:
+    """The one pass equals splitting first, then partitioning each part."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_marked_data(self, seed):
+        rng = np.random.default_rng([seed, 77])
+        n_types = int(rng.integers(2, 8))
+        k = int(rng.integers(1, n_types))
+        n_clients = int(rng.integers(1, 9))
+        seqs = random_marked(rng, int(rng.integers(1, 25)), n_types)
+        assert_matches_reference(seqs, n_types, k, n_clients, seed)
+
+    @pytest.mark.parametrize("horizon", [100.0, 50.0, 250.0])
+    def test_events_on_the_boundaries(self, horizon):
+        scale = horizon / 100.0
+        times = scale * np.array([0.0, 59.999, 60.0, 60.001, 79.999, 80.0,
+                                  80.001, 100.0])
+        seqs = [marked(times, [0, 1, 0, 1, 0, 1, 0, 1], horizon)
+                for _ in range(3)]
+        plan = assert_matches_reference(seqs, 2, 1, 2, 5)
+        if horizon == 100.0:
+            kept = np.concatenate([s.times for c in plan.train
+                                   for s in plan.train[c]])
+            assert 60.0 in kept and 80.0 not in kept
+
+    def test_tied_times_and_empty_sequences(self):
+        seqs = [
+            marked([10.0, 10.0, 10.0, 90.0, 90.0], [0, 1, 2, 0, 1], 100.0),
+            marked([], [], 100.0),
+            marked([], [], 7.0),
+            marked([3.0, 3.0, 6.0, 6.0], [2, 2, 1, 0], 6.0),
+        ]
+        assert_matches_reference(seqs, 3, 2, 2, 11)
+
+    def test_client_without_events_of_its_types(self):
+        # Every mark is 0, so a client without type 0 gets only empty
+        # sequences; six clients outnumber the three sequences.
+        seqs = [marked([10.0, 50.0, 90.0], [0, 0, 0], 100.0) for _ in range(3)]
+        plan = assert_matches_reference(seqs, 4, 1, 6, 3)
+        counts = [len(plan.train[c]) for c in range(6)]
+        assert counts == [len(plan.test[c]) for c in range(6)]
+        assert sorted(counts) == [0, 0, 0, 1, 1, 1]
+        assert any(0 not in plan.assignments[c] and plan.train[c]
+                   for c in range(6))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_all_but_one_type_and_other_horizons(self, seed):
+        rng = np.random.default_rng([seed, 5])
+        seqs = random_marked(rng, 12, 5) + [
+            marked(np.sort(rng.uniform(0, h, 20)), rng.integers(0, 5, 20), h)
+            for h in (0.3, 1.0, 37.5, 1e4)
+        ]
+        assert_matches_reference(seqs, 5, 4, 3, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_marks_outside_the_types_are_dropped(self, seed):
+        rng = np.random.default_rng([seed, 9])
+        n_types = 4
+        seqs = random_marked(rng, 10, n_types, low=-1, high=n_types + 4)
+        seqs.append(marked([1.0, 70.0, 99.0], [-1, n_types + 3, n_types + 3],
+                           100.0))
+        plan = assert_matches_reference(seqs, n_types, 3, 3, seed)
+        for part in (plan.train, plan.test):
+            for c in range(3):
+                for seq in part[c]:
+                    assert ((seq.marks >= 0) & (seq.marks < n_types)).all()
+
+    @pytest.mark.parametrize("args, message", [
+        (([], 2, 2, 1, 0), "empty dataset"),
+        (([], 2, 1, 1, 0), "empty dataset"),
+        (([EventSequence(times=np.array([1.0]), horizon=2.0)], 2, 2, 1, 0),
+         "k must be <"),
+        (([EventSequence(times=np.array([1.0]), horizon=2.0)], 3, 1, 1, 0),
+         "marked sequences"),
+    ], ids=["empty-before-k", "empty", "k-before-marks", "unmarked"])
+    def test_same_errors_in_the_same_order(self, args, message):
+        with pytest.raises(ValueError, match=message) as want:
+            reference_plan(*args)
+        with pytest.raises(ValueError) as got:
+            partition_heterogeneous(*args)
+        assert str(got.value) == str(want.value)
+
+
 class TestPartitionHeterogeneous:
     def test_k_equal_to_types_rejected(self):
         rng = np.random.default_rng(9)
@@ -444,16 +650,30 @@ class TestPartitionHeterogeneous:
         plan = partition_heterogeneous(seqs, 4, 2, 2, 7)
         for cid in range(2):
             assert len(plan.assignments[cid]) == 2
-            for seq in plan.client_seqs[cid]:
-                if len(seq):
-                    assert set(seq.marks.tolist()) <= set(plan.assignments[cid])
+            for part in (plan.train, plan.test):
+                for seq in part[cid]:
+                    if len(seq):
+                        assert (set(seq.marks.tolist())
+                                <= set(plan.assignments[cid]))
+
+    def test_parts_hold_their_windows(self):
+        rng = np.random.default_rng(13)
+        seqs = marked_sequences(rng, 10, 3)
+        plan = partition_heterogeneous(seqs, 3, 2, 2, 4)
+        for cid in range(2):
+            for seq in plan.train[cid]:
+                assert seq.horizon == 100.0 and (seq.times <= 60.0).all()
+            for seq in plan.test[cid]:
+                assert seq.horizon == 100.0 and (seq.times > 80.0).all()
 
     def test_equal_sequence_counts(self):
         rng = np.random.default_rng(11)
         seqs = marked_sequences(rng, 11, 5)
         plan = partition_heterogeneous(seqs, 5, 2, 3, 1)
-        counts = [len(plan.client_seqs[c]) for c in range(3)]
-        assert max(counts) - min(counts) <= 1
+        for part in (plan.train, plan.test):
+            counts = [len(part[c]) for c in range(3)]
+            assert max(counts) - min(counts) <= 1
+        assert counts == [len(plan.train[c]) for c in range(3)]
 
     def test_requires_marks(self):
         seqs = [EventSequence(times=np.array([1.0]), horizon=100.0)]
@@ -467,5 +687,6 @@ class TestPartitionHeterogeneous:
         p2 = partition_heterogeneous(seqs, 4, 2, 2, 123)
         assert p1.assignments == p2.assignments
         for c in range(2):
-            for a, b in zip(p1.client_seqs[c], p2.client_seqs[c]):
-                np.testing.assert_array_equal(a.times, b.times)
+            for part in ("train", "test"):
+                assert_same_sequences(getattr(p1, part)[c],
+                                      getattr(p2, part)[c])
