@@ -171,8 +171,9 @@ def fed_config(cfg: dict) -> FedConfig:
 
 def _write_versioned(path, payload: dict) -> None:
     """Write ``payload`` as one JSON line headed by ``PACKING_VERSION``."""
+    # json.dumps takes the C encoder; json.dump never does.  Same bytes.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": PACKING_VERSION, **payload}, fh)
+        fh.write(json.dumps({"version": PACKING_VERSION, **payload}))
         fh.write("\n")
 
 

@@ -670,12 +670,23 @@ def init_client(client_id: int, train_seqs, theta: DiagGaussian,
     The initial scale is twice the empirical event rate; the latent rate
     starts at the corresponding zero-function value m/2.
     """
+    z = np.asarray(inducing_locations, dtype=np.float64)
+    return _init_client(client_id, train_seqs, theta, spec, z, grid,
+                        dk.kernel_matrix(z, z, theta.mean, spec),
+                        n_w_samples, nu)
+
+
+def _init_client(client_id, train_seqs, theta, spec, z, grid, k_zz,
+                 n_w_samples=4, nu=0.0) -> ClientState:
+    """:func:`init_client` given the prior gram ``k_zz`` at ``z``.
+
+    ``z`` is a float64 vector; ``k_zz`` becomes the q(u) covariance
+    without a copy, so each client needs its own.
+    """
     n_events = sum(len(s) for s in train_seqs)
     rate = n_events / (max(len(train_seqs), 1) * grid.horizon)
     m0 = 2.0 * rate if rate > 0 else 1.0 / grid.horizon
-    z = np.asarray(inducing_locations, dtype=np.float64)
-    k_zz = dk.kernel_matrix(z, z, theta.mean, spec)
-    state = ClientState(
+    return ClientState(
         id=client_id,
         train_seqs=list(train_seqs),
         grid=grid,
@@ -691,7 +702,6 @@ def init_client(client_id: int, train_seqs, theta: DiagGaussian,
         latent_c=np.zeros(grid.size),
         n_w_samples=n_w_samples,
     )
-    return state
 
 
 def clone_state(state: ClientState) -> ClientState:

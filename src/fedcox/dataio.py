@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +46,14 @@ GROUND_TRUTH_GRID = 512
 
 @dataclass(frozen=True)
 class EventSequence:
-    """Sorted event times on [0, horizon], with optional integer type marks."""
+    """Sorted event times on [0, horizon], with optional integer type marks.
+
+    Every public way to build one checks it: this constructor,
+    :func:`load_jsonl`, :func:`superpose` and the simulators.  Only the
+    rescaled cuts of an already checked sequence inside
+    :func:`normalize_and_split` and :func:`partition_heterogeneous` take
+    the private :meth:`_trusted` path, which skips the checks.
+    """
 
     times: np.ndarray
     horizon: float
@@ -60,8 +68,9 @@ class EventSequence:
             raise ValueError("times must be a vector")
         if times.size:
             # Every comparison with NaN is false and the horizon is finite,
-            # so times passing both checks below are all finite.
-            diffs = np.diff(times)
+            # so times passing both checks below are all finite.  (np.diff
+            # without its wrapper: the same subtraction.)
+            diffs = times[1:] - times[:-1]
             if not (diffs >= 0).all():
                 raise ValueError("times must be finite and nondecreasing")
             if (diffs == 0).any():
@@ -73,6 +82,20 @@ class EventSequence:
             object.__setattr__(self, "marks", marks)
             if marks.shape != times.shape:
                 raise ValueError("marks must have the same length as times")
+
+    @classmethod
+    def _trusted(cls, times, horizon, marks=None) -> EventSequence:
+        """A sequence from arrays that already pass every check, unchecked.
+
+        ``times`` is a sorted float64 vector inside [0, horizon] with no
+        NaN, ``horizon`` a positive finite float and ``marks`` None or an
+        int64 vector as long as ``times``; no copy is made.
+        """
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "times", times)
+        object.__setattr__(seq, "horizon", horizon)
+        object.__setattr__(seq, "marks", marks)
+        return seq
 
     def __len__(self) -> int:
         return self.times.size
@@ -249,6 +272,9 @@ def superpose(a: EventSequence, b: EventSequence) -> EventSequence:
     return EventSequence(times=times, horizon=a.horizon)
 
 
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def load_jsonl(path) -> list[EventSequence]:
     """Read one sequence per line: {"times": [...], "marks?": [...], "horizon?": x}."""
     seqs = []
@@ -266,7 +292,7 @@ def load_jsonl(path) -> list[EventSequence]:
             times = record.get("times")
             # JSON numbers load as int or float; this also rejects bools.
             if not (isinstance(times, list)
-                    and all(type(t) in (int, float) for t in times)):
+                    and _JSON_NUMBERS.issuperset(map(type, times))):
                 raise ValueError(
                     f"'times' must be a list of numbers at line {lineno}"
                 )
@@ -300,45 +326,73 @@ def save_jsonl(seqs: list[EventSequence], path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _scale_and_cut(seq: EventSequence):
-    """``seq``'s times rescaled to [0, 100], with its train and test masks.
+def _rescale(seqs):
+    """``seqs``' times rescaled to [0, 100], end to end, and their bounds.
 
-    Train is ``t <= 60`` and test ``t > 80``; validation is what neither
-    mask holds, so an event at exactly 60 is train and one at exactly 80
-    validation.
+    Sequence i's events are ``times[bounds[i]:bounds[i + 1]]``.  A horizon
+    under about 5.6e-307, for which ``100 / horizon`` overflows, raises
+    ValueError.  Rescaling can tie distinct times; each sequence whose
+    rescaled times hold a tie is warned about once.
     """
-    lo, hi = SPLIT_BOUNDARIES
-    # Every time is at most the horizon, but its product with the rounded
+    scales = [NORMALIZED_HORIZON / seq.horizon for seq in seqs]
+    for seq, scale in zip(seqs, scales):
+        if not math.isfinite(scale):
+            raise ValueError(
+                f"horizon {seq.horizon!r} is too small to rescale to "
+                f"[0, {NORMALIZED_HORIZON:g}]"
+            )
+    sizes = [len(seq) for seq in seqs]
+    bounds = np.zeros(len(seqs) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    # Every time is at most its horizon, but its product with the rounded
     # scale can exceed 100 by an ulp; such an event is at 100.
-    times = np.minimum(seq.times * (NORMALIZED_HORIZON / seq.horizon),
-                       NORMALIZED_HORIZON)
-    return times, times <= lo, times > hi
+    times = np.minimum(
+        np.concatenate([seq.times for seq in seqs]) * np.repeat(scales, sizes),
+        NORMALIZED_HORIZON,
+    )
+    later = np.flatnonzero(times[1:] == times[:-1]) + 1
+    if later.size:
+        owner = np.searchsorted(bounds, later, side="right") - 1
+        for _ in np.unique(owner[bounds[owner] != later]):
+            log.warning("rescaled sequence contains tied event times")
+    return times, bounds
 
 
-def _part(times, marks, mask) -> EventSequence:
-    return EventSequence(times=times[mask], horizon=NORMALIZED_HORIZON,
-                         marks=None if marks is None else marks[mask])
+def _cuts(times, bounds, mask, marks=None) -> list[EventSequence]:
+    """Each sequence's events under ``mask``, not checked again.
+
+    Rounding is monotone, so times that were sorted, finite and inside
+    [0, horizon] stay so inside [0, 100] after a finite rescale and the
+    clamp at 100 (:func:`_rescale`).  The cuts share one buffer.
+    """
+    ends = np.concatenate(([0], np.cumsum(mask)))[bounds].tolist()
+    times = times[mask]
+    marks = None if marks is None else marks[mask]
+    return [
+        EventSequence._trusted(times[a:b], NORMALIZED_HORIZON,
+                               None if marks is None else marks[a:b])
+        for a, b in zip(ends, ends[1:])
+    ]
 
 
 def normalize_and_split(seqs: list[EventSequence]) -> DatasetSplit:
-    """Rescale every timeline to [0, 100] and split at 60 / 80 by timestamp."""
+    """Rescale every timeline to [0, 100] and split at 60 / 80 by timestamp.
+
+    Train is ``t <= 60`` and test ``t > 80``; an event at exactly 60 is
+    train and one at exactly 80 validation.
+    """
     if not seqs:
         raise ValueError("cannot split an empty dataset")
+    lo, hi = SPLIT_BOUNDARIES
     train, val, test = [], [], []
+    # One sequence at a time: some may have marks and others not.
     for seq in seqs:
-        times, in_train, in_test = _scale_and_cut(seq)
-        train.append(_part(times, seq.marks, in_train))
-        val.append(_part(times, seq.marks, ~(in_train | in_test)))
-        test.append(_part(times, seq.marks, in_test))
+        times, bounds = _rescale([seq])
+        in_train, in_test = times <= lo, times > hi
+        for part, mask in ((train, in_train), (val, ~(in_train | in_test)),
+                           (test, in_test)):
+            part += _cuts(times, bounds, mask, seq.marks)
     return DatasetSplit(train=train, val=val, test=test)
-
-
-def _of_types(marks, types) -> np.ndarray:
-    """``np.isin(marks, types)``, by one equality test per type."""
-    keep = np.zeros(marks.shape, dtype=bool)
-    for t in types:
-        keep |= marks == t
-    return keep
 
 
 def partition_heterogeneous(seqs, n_types, k, n_clients, seed) -> PartitionPlan:
@@ -361,14 +415,23 @@ def partition_heterogeneous(seqs, n_types, k, n_clients, seed) -> PartitionPlan:
         c: tuple(sorted(rng.choice(n_types, size=k, replace=False).tolist()))
         for c in range(n_clients)
     }
-    order = rng.permutation(len(seqs))
+    dealt = [seqs[i] for i in rng.permutation(len(seqs))]
+    times, bounds = _rescale(dealt)
+    marks = np.concatenate([seq.marks for seq in dealt])
+    # An event is kept when its mark is one of its client's types.
+    owns = np.zeros((n_clients, n_types), dtype=bool)
+    for c, types in assignments.items():
+        owns[c, list(types)] = True
+    client = np.repeat(np.arange(len(dealt)) % n_clients, np.diff(bounds))
+    known = (marks >= 0) & (marks < n_types)
+    keep = known & owns[client, np.where(known, marks, 0)]
+    lo, hi = SPLIT_BOUNDARIES
     train = {c: [] for c in range(n_clients)}
     test = {c: [] for c in range(n_clients)}
-    for pos, seq_idx in enumerate(order):
-        c = pos % n_clients
-        seq = seqs[seq_idx]
-        times, in_train, in_test = _scale_and_cut(seq)
-        keep = _of_types(seq.marks, assignments[c])
-        train[c].append(_part(times, seq.marks, in_train & keep))
-        test[c].append(_part(times, seq.marks, in_test & keep))
+    for pos, (tr, te) in enumerate(zip(
+        _cuts(times, bounds, (times <= lo) & keep, marks),
+        _cuts(times, bounds, (times > hi) & keep, marks),
+    )):
+        train[pos % n_clients].append(tr)
+        test[pos % n_clients].append(te)
     return PartitionPlan(assignments=assignments, train=train, test=test)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import client as cl
 from .aggregation import AggregationMethod, aggregate
-from .kernel import EncoderSpec, init_kernel_params
+from .kernel import EncoderSpec, init_kernel_params, kernel_matrix
 from .numerics import DiagGaussian, check_setting, trapezoid_grid
 
 __all__ = [
@@ -148,9 +148,11 @@ def build_clients(config: FedConfig, train_sets, horizon: float,
     server = init_server(config, horizon)
     inducing = np.linspace(0.0, horizon, config.n_inducing + 2)[1:-1]
     grid = trapezoid_grid(train_window, config.quad_nodes)
+    # Every client starts q(u) at the same prior gram; each gets a copy.
+    k_zz = kernel_matrix(inducing, inducing, server.theta.mean, spec)
     clients = [
-        cl.init_client(
-            cid, seqs, server.theta, spec, inducing, grid,
+        cl._init_client(
+            cid, seqs, server.theta, spec, inducing, grid, k_zz.copy(),
             n_w_samples=config.n_w_samples,
         )
         for cid, seqs in enumerate(train_sets)
@@ -207,12 +209,18 @@ def _aborts_round(round_index, what):
 
 
 def run_round(server: ServerState, clients, config: FedConfig,
-              test_sets=None, eval_interval=None):
+              test_sets=None, eval_interval=None, scores=None):
     """One communication round; mutates server and participant states.
 
     Participant updates (on copies), aggregation and ``eval_all`` scoring
     all run before anything is committed, so a failure raises RoundError
-    naming the client or the rule, with server and clients untouched.
+    naming the client or the rule, with server, clients and ``scores``
+    untouched.
+
+    ``scores`` (optional) maps a client id to the held-out score of that
+    client's current state on these test sets and interval.  A score is a
+    function of the state alone, so ``eval_all`` reuses it for a
+    non-participant; the round's scores are written back at the commit.
     """
     participants = sample_participants(server.round, config)
     theta = server.theta
@@ -248,12 +256,17 @@ def run_round(server: ServerState, clients, config: FedConfig,
     scored = dict(zip(participants, logliks))
     if config.eval_all and test_sets:
         # Full-population evaluation: participants keep their upload's score,
-        # non-participants are scored read-only on their unchanged states.
+        # non-participants are scored read-only on their unchanged states
+        # unless those states have a score already.
         for cid in range(config.n_clients):
-            if cid not in scored and test_sets[cid]:
-                with _aborts_round(server.round, f"evaluating client {cid}"):
-                    scored[cid] = cl.test_loglik(clients[cid], test_sets[cid],
-                                                 eval_interval)
+            if cid in scored or not test_sets[cid]:
+                continue
+            if scores is not None and cid in scores:
+                scored[cid] = scores[cid]
+                continue
+            with _aborts_round(server.round, f"evaluating client {cid}"):
+                scored[cid] = cl.test_loglik(clients[cid], test_sets[cid],
+                                             eval_interval)
     finite = [scored[c] for c in sorted(scored) if np.isfinite(scored[c])]
     metrics = RoundMetrics(
         round=server.round,
@@ -265,6 +278,8 @@ def run_round(server: ServerState, clients, config: FedConfig,
     )
     for cid in participants:
         clients[cid] = jobs[cid][0]
+    if scores is not None:
+        scores.update(scored)
     server.theta = new_theta
     server.round += 1
     return server, metrics
@@ -276,15 +291,16 @@ def run_training(config: FedConfig, train_sets, horizon: float,
     """Full federated run: J rounds over freshly initialized clients.
 
     ``on_round`` (if given) receives each RoundMetrics as it is produced.
+    Each client state is scored at most once (see :func:`run_round`).
     Returns (metrics list, server, client states).
     """
     server, clients = build_clients(config, train_sets, horizon, train_window)
     if eval_interval is None:
         eval_interval = (0.0, horizon)
-    history = []
+    history, scores = [], {}
     for _ in range(config.rounds):
         server, metrics = run_round(
-            server, clients, config, test_sets, eval_interval
+            server, clients, config, test_sets, eval_interval, scores
         )
         history.append(metrics)
         if on_round is not None:

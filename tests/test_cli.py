@@ -1,4 +1,5 @@
 """End-to-end command-line tests: generate, train, eval, aggregate."""
+import io
 import json
 import math
 import os
@@ -403,8 +404,33 @@ class TestTrain:
         with open(data, encoding="utf-8") as fh:
             lines = len(fh.read().splitlines())
         assert sum(map(len, train)) == sum(map(len, test)) == lines
-        assert counts["sequences"] <= 3 * lines
+        # One checked construction per line: the cuts are not checked again.
+        assert counts["sequences"] == lines
         assert counts["isin"] == 0
+
+    def test_subnormal_horizon_exits_1(self, tmp_path, time_layout, capsys):
+        cfg_path, _ = time_layout
+        data = tmp_path / "tiny.jsonl"
+        data.write_text(json.dumps({"times": [0.0, 5e-311, 1e-310],
+                                    "marks": [0, 1, 2], "horizon": 1e-310})
+                        + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path, "--data", str(data),
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        assert "horizon 1e-310 is too small" in capsys.readouterr().err
+
+    def test_model_file_bytes_equal_json_dump(self, tmp_path, time_layout):
+        cfg_path, data = time_layout
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", cfg_path, "--data", data,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        written = model.read_text(encoding="utf-8")
+        # Floats round-trip through repr, so this is json.dump's own output
+        # for the saved payload.
+        buf = io.StringIO()
+        json.dump(json.loads(written), buf)
+        assert written == buf.getvalue() + "\n"
 
 
 class TestEval:

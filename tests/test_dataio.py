@@ -46,6 +46,98 @@ class TestEventSequence:
                           marks=np.array([1]))
 
 
+# Times that only the trusted path could let through.
+BAD_TIMES = {
+    "unsorted": ([0.5, 0.1], "nondecreasing"),
+    "nan": ([0.1, math.nan], "finite"),
+    "above-horizon": ([0.5, 1.5], "within"),
+    "negative": ([-0.5, 0.5], "within"),
+}
+
+
+class TestPublicPathsCheck:
+    """Skipping the checks is for rescaled cuts only.
+
+    Direct construction is covered by :class:`TestEventSequence`.
+    """
+
+    @pytest.mark.parametrize("name", sorted(BAD_TIMES))
+    def test_load_jsonl_names_the_line(self, tmp_path, name):
+        times, message = BAD_TIMES[name]
+        path = tmp_path / "bad.jsonl"
+        good = '{"times": [0.1], "marks": [0], "horizon": 1.0}\n'
+        path.write_text(good * 2 + json.dumps(
+            {"times": times, "marks": [0, 1], "horizon": 1.0}
+        ) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: .*{message}"):
+            load_jsonl(path)
+
+    def test_superpose_result_checked(self, monkeypatch):
+        a = EventSequence(times=np.array([0.2]), horizon=1.0)
+        checked = []
+        post_init = EventSequence.__post_init__
+
+        def counted(seq):
+            checked.append(seq)
+            post_init(seq)
+
+        monkeypatch.setattr(EventSequence, "__post_init__", counted)
+        merged = superpose(a, a)
+        assert checked == [merged]
+
+
+class TestTrustedCuts:
+    def test_cuts_are_not_checked_again(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        seqs = random_marked(rng, 8, 4)
+        counts = []
+        post_init = EventSequence.__post_init__
+
+        def counted(seq):
+            counts.append(1)
+            post_init(seq)
+
+        monkeypatch.setattr(EventSequence, "__post_init__", counted)
+        partition_heterogeneous(seqs, 4, 2, 3, 0)
+        normalize_and_split(seqs)
+        assert counts == []
+
+    def test_cuts_are_valid_sequences(self):
+        # Re-checking every cut through the public constructor passes and
+        # changes no byte.
+        rng = np.random.default_rng(4)
+        seqs = random_marked(rng, 20, 4) + [
+            marked([1.0, 44.265431030687196], [0, 1], 44.265431030687196),
+        ]
+        split = normalize_and_split(seqs)
+        plan = partition_heterogeneous(seqs, 4, 3, 2, 1)
+        cuts = split.train + split.val + split.test + [
+            seq for part in (plan.train, plan.test) for c in part
+            for seq in part[c]
+        ]
+        for cut in cuts:
+            again = EventSequence(times=cut.times, horizon=cut.horizon,
+                                  marks=cut.marks)
+            assert_same_sequences([cut], [again])
+            assert type(cut.horizon) is float
+
+    def test_rescaling_ties_warned_once_per_sequence(self, caplog):
+        # Two adjacent floats that rescaling by 100 / 3 makes equal.
+        times = [0.4800900450225113, 0.48009004502251135]
+        assert times[0] * (100.0 / 3.0) == times[1] * (100.0 / 3.0)
+        with caplog.at_level("WARNING"):
+            # Equal times in different sequences are no tie.  Whatever the
+            # deal order, two of the three 1.5s end up next to each other.
+            seqs = [marked(times, [0, 1], 3.0), marked([1.5], [0], 3.0),
+                    marked([], [], 3.0), marked([1.5], [1], 3.0),
+                    marked([1.5], [0], 3.0)]
+            assert not caplog.records
+            normalize_and_split(seqs)
+            partition_heterogeneous(seqs, 2, 1, 2, 0)
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["rescaled sequence contains tied event times"] * 2
+
+
 class TestSimulateSgcp:
     def test_saturated_high_keeps_everything(self):
         m, horizon = 40.0, 1.0
@@ -421,6 +513,20 @@ class TestNormalizeAndSplit:
         with pytest.raises(ValueError):
             normalize_and_split([])
 
+    def test_subnormal_horizon_rejected(self):
+        # 100 / 1e-310 overflows; the times would become NaN and inf.
+        seq = EventSequence(times=np.array([0.0, 5e-311, 1e-310]),
+                            horizon=1e-310)
+        with pytest.raises(ValueError, match="horizon 1e-310 is too small"):
+            normalize_and_split([seq])
+
+    def test_smallest_rescalable_horizon(self):
+        h = 5.57e-307  # 100 / h is just under the largest float
+        seq = EventSequence(times=np.array([0.0, 0.5 * h, h]), horizon=h)
+        split = normalize_and_split([seq])
+        assert split.train[0].times.tolist() == [0.0, 50.0]
+        assert split.test[0].times.tolist() == [100.0]
+
     def test_every_event_in_exactly_one_split(self):
         rng = np.random.default_rng(8)
         seqs = [
@@ -679,6 +785,11 @@ class TestPartitionHeterogeneous:
         seqs = [EventSequence(times=np.array([1.0]), horizon=100.0)]
         with pytest.raises(ValueError):
             partition_heterogeneous(seqs, 3, 1, 1, 0)
+
+    def test_subnormal_horizon_rejected(self):
+        seq = marked([0.0, 5e-311, 1e-310], [0, 1, 1], 1e-310)
+        with pytest.raises(ValueError, match="horizon 1e-310 is too small"):
+            partition_heterogeneous([seq], 2, 1, 1, 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)

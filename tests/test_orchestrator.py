@@ -7,6 +7,7 @@ import pytest
 import fedcox.client as cl
 from fedcox.aggregation import AggregationMethod
 from fedcox.dataio import EventSequence
+from fedcox.kernel import kernel_matrix
 from fedcox.numerics import DiagGaussian
 from fedcox.orchestrator import (
     ClientPayload,
@@ -333,6 +334,32 @@ class TestRunTraining:
             run_training(tiny_config(), tiny_dataset(rng, 2), 1.0)
 
 
+class TestBuildClients:
+    def test_each_client_owns_the_prior_gram(self):
+        rng = np.random.default_rng(15)
+        config = tiny_config(n_clients=3)
+        server, clients = build_clients(config, tiny_dataset(rng, 3), 1.0)
+        z = clients[0].q_u.locations
+        gram = kernel_matrix(z, z, server.theta.mean, clients[0].spec)
+        for c in clients:
+            assert c.q_u.cov.tobytes() == gram.tobytes()
+        clients[0].q_u.cov[0, 0] += 1.0
+        for c in clients[1:]:
+            assert c.q_u.cov.tobytes() == gram.tobytes()
+
+    def test_clients_equal_init_client(self):
+        rng = np.random.default_rng(16)
+        data = tiny_dataset(rng, 3)
+        config = tiny_config(n_clients=3)
+        server, clients = build_clients(config, data, 1.0)
+        for cid, c in enumerate(clients):
+            fresh = cl.init_client(cid, data[cid], server.theta, c.spec,
+                                   c.q_u.locations, c.grid,
+                                   n_w_samples=config.n_w_samples)
+            assert states_equal(c, fresh)
+            assert c.q_u.cov.tobytes() == fresh.q_u.cov.tobytes()
+
+
 class TestPrivacyBoundary:
     def test_payload_carries_only_variational_record(self):
         fields = set(ClientPayload.__dataclass_fields__)
@@ -367,11 +394,63 @@ class TestEvalAll:
 
         monkeypatch.setattr("fedcox.orchestrator.cl.test_loglik", counting)
         history, _, clients = run_training(config, data, 1.0, tests)
-        assert sorted(scored) == sorted(list(range(4)) * config.rounds)
+        # Round 0 scores every client; later rounds score only the new
+        # states of their participants and reuse every other score.
+        expected = list(range(4))
+        for r in range(1, config.rounds):
+            expected += sample_participants(r, config)
+        assert sorted(scored) == sorted(expected)
         # Participants' upload scores equal a rescoring of their new states.
         assert history[-1].mean_test_loglik == np.mean(
             [original(c, tests[c.id], (0.0, 1.0)) for c in clients]
         )
+
+    def test_reused_scores_equal_rescoring(self):
+        # Every round's mean equals the one from rescoring every client.
+        rng = np.random.default_rng(14)
+        data = tiny_dataset(rng, 4)
+        tests = tiny_dataset(rng, 4, n_seqs=1)
+        tests[3] = []
+        config = tiny_config(n_clients=4, participants_per_round=2, rounds=5,
+                             straggle_period=2, eval_all=True)
+        history, _, _ = run_training(config, data, 1.0, tests)
+        server, clients = build_clients(config, data, 1.0)
+        for metrics in history:
+            server, fresh = run_round(server, clients, config, tests,
+                                      (0.0, 1.0))
+            assert fresh.mean_test_loglik == metrics.mean_test_loglik
+            np.testing.assert_array_equal(fresh.per_client_loglik,
+                                          metrics.per_client_loglik)
+
+    def test_failed_round_leaves_scores_untouched(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        data = tiny_dataset(rng, 3)
+        tests = tiny_dataset(rng, 3, n_seqs=1)
+        config = tiny_config(n_clients=3, participants_per_round=1,
+                             eval_all=True)
+        server, clients = build_clients(config, data, 1.0)
+        participant, = sample_participants(0, config)
+        reused, victim = sorted(set(range(3)) - {participant})
+        scores = {reused: -1.5}
+        original = cl.test_loglik
+        called = []
+
+        def failing(state, *args, **kwargs):
+            called.append(state.id)
+            if state.id == victim:
+                raise ValueError("synthetic evaluation blow-up")
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr("fedcox.orchestrator.cl.test_loglik", failing)
+        with pytest.raises(RoundError, match=f"evaluating client {victim}"):
+            run_round(server, clients, config, tests, (0.0, 1.0), scores)
+        assert scores == {reused: -1.5}
+        assert reused not in called
+        monkeypatch.setattr("fedcox.orchestrator.cl.test_loglik", original)
+        _, metrics = run_round(server, clients, config, tests, (0.0, 1.0),
+                               scores)
+        assert set(scores) == {0, 1, 2} and scores[reused] == -1.5
+        assert scores[participant] == metrics.per_client_loglik[0]
 
     @pytest.mark.parametrize("eval_all", [False, True])
     def test_clients_without_test_sequences(self, eval_all):
