@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import os
+import secrets
 import sys
 from pathlib import Path
 
@@ -169,12 +170,33 @@ def fed_config(cfg: dict) -> FedConfig:
 # Parameter-record files (the standalone aggregation surface)
 # ----------------------------------------------------------------------
 
-def _write_versioned(path, payload: dict) -> None:
-    """Write ``payload`` as one JSON line headed by ``PACKING_VERSION``."""
-    # json.dumps takes the C encoder; json.dump never does.  Same bytes.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"version": PACKING_VERSION, **payload}))
-        fh.write("\n")
+def _write_versioned(path, payload: dict, last_key: str, items) -> None:
+    """Write ``payload`` as one JSON line headed by ``PACKING_VERSION``.
+
+    The line ends with ``last_key``, whose list is encoded and written one
+    element of ``items`` at a time; the bytes are those of ``json.dumps`` on
+    the whole object.  The line goes to a temporary file beside ``path``
+    that replaces ``path`` only once complete, so a failed or interrupted
+    write leaves any earlier file as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        # json.dumps takes the C encoder; json.dump never does.
+        with fh:
+            head = json.dumps({"version": PACKING_VERSION, **payload})
+            fh.write(f"{head[:-1]}, {json.dumps(last_key)}: [")
+            sep = ""
+            for item in items:
+                fh.write(sep)
+                fh.write(json.dumps(item))
+                sep = ", "
+            fh.write("]}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_versioned(path, what: str) -> dict:
@@ -194,10 +216,8 @@ def _gaussian_json(g: DiagGaussian) -> dict:
 
 
 def write_param_records(records, path) -> None:
-    _write_versioned(path, {
-        "dim": records[0].dim,
-        "records": [_gaussian_json(r) for r in records],
-    })
+    _write_versioned(path, {"dim": records[0].dim}, "records",
+                     map(_gaussian_json, records))
 
 
 def read_param_records(path) -> list:
@@ -218,9 +238,27 @@ def read_param_records(path) -> list:
 # Model container
 # ----------------------------------------------------------------------
 
+def _client_json(c) -> dict:
+    return {
+        "id": c.id,
+        "m": c.m,
+        "nu": c.nu,
+        "phi": _gaussian_json(c.phi),
+        "inducing": {
+            "locations": c.q_u.locations.tolist(),
+            "mean": c.q_u.mean.tolist(),
+            "cov": c.q_u.cov.tolist(),
+        },
+    }
+
+
 def save_model(path, server, clients, cfg, horizon, train_window,
                eval_interval):
-    """Write the trained model and the resolved config (``cfg``) of its run."""
+    """Write the trained model and the resolved config (``cfg``) of its run.
+
+    Client records are built, encoded and written one at a time, and the
+    file is replaced atomically (:func:`_write_versioned`).
+    """
     _write_versioned(path, {
         "config": cfg,
         "horizon": horizon,
@@ -229,21 +267,7 @@ def save_model(path, server, clients, cfg, horizon, train_window,
         "encoder": dataclasses.asdict(clients[0].spec),
         "theta": _gaussian_json(server.theta),
         "round": server.round,
-        "clients": [
-            {
-                "id": c.id,
-                "m": c.m,
-                "nu": c.nu,
-                "phi": _gaussian_json(c.phi),
-                "inducing": {
-                    "locations": c.q_u.locations.tolist(),
-                    "mean": c.q_u.mean.tolist(),
-                    "cov": c.q_u.cov.tolist(),
-                },
-            }
-            for c in clients
-        ],
-    })
+    }, "clients", map(_client_json, clients))
 
 
 def load_model(path):

@@ -204,10 +204,16 @@ class _InducingBlocks:
 
 
 class _SampleCache:
-    """Kernel blocks and posterior moments at ``times`` for one sample.
+    """Kernel blocks at ``times`` for one sample, with f's moments there.
 
     ``z`` holds the sample's inducing-point blocks; the rest is built here
-    for the given evaluation times.
+    for the given evaluation times.  With ``moments=False`` only the blocks
+    that :func:`update_inducing` reads are built (``k_tz``, ``beta`` and
+    ``alpha``), not ``beta_cov``, ``mean`` or ``var``.
+
+    Each instance holds several (times x inducing) blocks, so
+    :func:`_caches` builds one sample's at a time and its consumers release
+    it before asking for the next.
 
     Bit-identity contract: reuse is limited to blocks whose floats do not
     depend on which call computes them.  Inducing-point blocks depend on
@@ -229,7 +235,7 @@ class _SampleCache:
     )
 
     def __init__(self, state: ClientState, z: _InducingBlocks,
-                 times: np.ndarray):
+                 times: np.ndarray, moments: bool = True):
         self.z = z
         self.tape_t = dk.embed_with_tape(times, z.params, state.spec)
         h_t = self.tape_t.out
@@ -242,8 +248,11 @@ class _SampleCache:
             [self.k_tz.T, (state.q_u.mean - state.nu)[:, None]], axis=1
         )
         solved = solve_with(z.factor, rhs)
+        del rhs
         self.beta = solved[:, :-1].T  # rows: Kzz^-1 k_t
         self.alpha = solved[:, -1]
+        if not moments:
+            return
         self.mean = state.nu + self.k_tz @ self.alpha
         explained = np.sum(self.k_tz * self.beta, axis=1)
         self.beta_cov = self.beta @ state.q_u.cov
@@ -257,17 +266,33 @@ def _inducing_blocks(state, w):
     return [_InducingBlocks(state, row) for row in w]
 
 
-def _caches(state, w, times, blocks=None):
+def _caches(state, w, times, blocks=None, moments=True):
+    """Each sample's :class:`_SampleCache` at ``times``, one at a time.
+
+    The next cache is built only when the consumer asks for it, so a loop
+    that drops its reference at the end of each pass (``del c``) holds one
+    sample's (times x inducing) blocks at a time, whatever the sample count.
+    Without ``blocks`` each sample's inducing blocks are built as it comes.
+    """
     if blocks is None:
-        blocks = _inducing_blocks(state, w)
-    return [_SampleCache(state, b, times) for b in blocks]
+        w = np.atleast_2d(np.asarray(w, dtype=np.float64))
+        blocks = (_InducingBlocks(state, row) for row in w)
+    for z in blocks:
+        yield _SampleCache(state, z, times, moments)
 
 
 def _mixture_moments(caches):
-    """First and second moments of f averaged over the kernel samples."""
-    means = np.stack([c.mean for c in caches])
-    second = np.stack([c.var + c.mean**2 for c in caches])
-    return means.mean(axis=0), second.mean(axis=0)
+    """First and second moments of f averaged over the kernel samples.
+
+    ``caches`` is consumed one at a time; only each sample's two moment
+    vectors are kept.
+    """
+    means, seconds = [], []
+    for c in caches:
+        means.append(c.mean)
+        seconds.append(c.var + c.mean**2)
+        del c
+    return np.stack(means).mean(axis=0), np.stack(seconds).mean(axis=0)
 
 
 def posterior_f_moments(state: ClientState | PredictiveState, w, times):
@@ -349,18 +374,20 @@ def update_inducing(state: ClientState, w, blocks=None) -> InducingPosterior:
     b_all = np.concatenate([b_ev, b_gr])
     times = np.concatenate([state.events, state.grid.nodes])
     m_ind = state.q_u.locations.size
-    caches = _caches(state, w, times, blocks)
     precision = np.zeros((m_ind, m_ind))
     linear = np.zeros(m_ind)
     ones = np.ones(m_ind)
-    for c in caches:
+    n_samples = 0
+    for c in _caches(state, w, times, blocks, moments=False):
         kzz_inv = c.z.kzz_inv
         offset = state.nu * (1.0 - c.k_tz @ solve_with(c.z.factor, ones))
         b_tilde = b_all - a_all * offset
         precision += c.beta.T @ (a_all[:, None] * c.beta) + kzz_inv
         linear += c.beta.T @ b_tilde + state.nu * (kzz_inv @ ones)
-    precision /= len(caches)
-    linear /= len(caches)
+        n_samples += 1
+        del c
+    precision /= n_samples
+    linear /= n_samples
     factor, _ = chol_factor_jittered(
         precision, f"client {state.id} inducing precision"
     )
@@ -421,8 +448,8 @@ def _grid_term(state, ef, ef2):
     )
 
 
-def _kl_inducing(state, caches) -> float:
-    """KL(q(u) || p(u | w)) averaged over the kernel samples."""
+def _kl_inducing(state, blocks) -> float:
+    """KL(q(u) || p(u | w)) averaged over the samples' inducing blocks."""
     m_ind = state.q_u.locations.size
     cov_factor, _ = chol_factor_jittered(
         state.q_u.cov, f"client {state.id} inducing covariance"
@@ -430,15 +457,15 @@ def _kl_inducing(state, caches) -> float:
     logdet_cov = chol_logdet(cov_factor)
     a = state.q_u.mean - state.nu
     total = 0.0
-    for c in caches:
+    for z in blocks:
         total += 0.5 * (
-            c.z.logdet_kzz
+            z.logdet_kzz
             - logdet_cov
-            + float(np.trace(solve_with(c.z.factor, state.q_u.cov)))
-            + float(a @ solve_with(c.z.factor, a))
+            + float(np.trace(solve_with(z.factor, state.q_u.cov)))
+            + float(a @ solve_with(z.factor, a))
             - m_ind
         )
-    return total / len(caches)
+    return total / len(blocks)
 
 
 def _batch_events(state, batch):
@@ -473,12 +500,12 @@ def augmented_elbo(state: ClientState, w, batch=None) -> float:
     weight.
     """
     idx, scale, times = _batch_events(state, batch)
-    caches = _caches(state, w, times)
-    ef, ef2 = _mixture_moments(caches)
+    blocks = _inducing_blocks(state, w)
+    ef, ef2 = _mixture_moments(_caches(state, w, times, blocks))
     n_ev = idx.size
     value = scale * float(np.sum(_event_terms(state, ef[:n_ev], ef2[:n_ev], idx)))
     value += _grid_term(state, ef[n_ev:], ef2[n_ev:])
-    value -= _kl_inducing(state, caches)
+    value -= _kl_inducing(state, blocks)
     if not np.isfinite(value):
         raise FloatingPointError("augmented bound is not finite")
     return value
@@ -517,7 +544,6 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     eps = _draw_eps(state.phi.dim, n_w_samples, noise_seed)
     std = state.phi.std()
     w = state.phi.mean + std * eps
-    caches = _caches(state, w, times)
 
     # Linear coefficients of E[f] (a_t) and -E[f^2]/2 (b_t) per evaluation
     # time: the B and A densities, event terms rescaled to the batch.
@@ -525,30 +551,10 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     a_t = np.concatenate([scale * b_ev[idx], b_gr])
     b_t = np.concatenate([scale * a_ev[idx], a_gr])
 
-    sigma_u = state.q_u.cov
-    grad_w = np.zeros((len(caches), state.phi.dim))
-    for s, c in enumerate(caches):
-        beta = c.beta
-        gamma = solve_with(c.z.factor, c.beta_cov.T).T
-        u_t = a_t - b_t * c.mean
-        d_k_tz = u_t[:, None] * c.alpha[None, :] + b_t[:, None] * (beta - gamma)
-        coeff_tt = -0.5 * float(np.sum(b_t))
-        kzz_inv = c.z.kzz_inv
-        m_k = (
-            -0.5 * (beta.T @ (b_t[:, None] * beta))
-            - 0.5 * kzz_inv
-            + 0.5 * kzz_inv @ sigma_u @ kzz_inv
-            + 0.5 * np.outer(c.alpha, c.alpha)
-        )
-        cross = np.outer(c.alpha, beta.T @ u_t)
-        m_k -= 0.5 * (cross + cross.T)
-        gb = (b_t[:, None] * gamma).T @ beta
-        m_k += 0.5 * (gb + gb.T)
-        grad_w[s] = dk.accumulate_param_grad(
-            m_k, d_k_tz, coeff_tt, c.z.k_zz, c.k_tz, c.z.d2_zz, c.d2_tz,
-            c.z.tape_z, c.tape_t, c.z.params, state.spec,
-            k_zz_jitter=c.z.jitter,
-        )
+    grad_w = np.zeros((n_w_samples, state.phi.dim))
+    for s, c in enumerate(_caches(state, w, times)):
+        grad_w[s] = _sample_grad(state, c, a_t, b_t)
+        del c
     g_mean = grad_w.mean(axis=0)
     g_logv = (grad_w * eps).mean(axis=0) * 0.5 * std
     # Kernel-parameter divergence (always KL for the client-side gradient).
@@ -557,6 +563,35 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     if not (np.all(np.isfinite(g_mean)) and np.all(np.isfinite(g_logv))):
         raise FloatingPointError("objective gradient is not finite")
     return -g_mean, -g_logv
+
+
+def _sample_grad(state, c, a_t, b_t) -> np.ndarray:
+    """One sample's gradient of the sampled bound w.r.t. its packed vector.
+
+    ``c`` is the sample's :class:`_SampleCache` at the evaluation times, and
+    ``a_t``/``b_t`` are the linear coefficients of E[f] and -E[f^2]/2 there.
+    """
+    beta = c.beta
+    gamma = solve_with(c.z.factor, c.beta_cov.T).T
+    u_t = a_t - b_t * c.mean
+    d_k_tz = u_t[:, None] * c.alpha[None, :] + b_t[:, None] * (beta - gamma)
+    coeff_tt = -0.5 * float(np.sum(b_t))
+    kzz_inv = c.z.kzz_inv
+    m_k = (
+        -0.5 * (beta.T @ (b_t[:, None] * beta))
+        - 0.5 * kzz_inv
+        + 0.5 * kzz_inv @ state.q_u.cov @ kzz_inv
+        + 0.5 * np.outer(c.alpha, c.alpha)
+    )
+    cross = np.outer(c.alpha, beta.T @ u_t)
+    m_k -= 0.5 * (cross + cross.T)
+    gb = (b_t[:, None] * gamma).T @ beta
+    m_k += 0.5 * (gb + gb.T)
+    return dk.accumulate_param_grad(
+        m_k, d_k_tz, coeff_tt, c.z.k_zz, c.k_tz, c.z.d2_zz, c.d2_tz,
+        c.z.tape_z, c.tape_t, c.z.params, state.spec,
+        k_zz_jitter=c.z.jitter,
+    )
 
 
 def client_update(state: ClientState, theta: DiagGaussian, epochs: int,

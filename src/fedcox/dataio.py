@@ -142,9 +142,18 @@ class RbfSpec:
                       strict=True)
 
     def gram(self, times_a, times_b) -> np.ndarray:
+        """``variance * exp(-0.5 (a - b)^2 / length_scale^2)``, one buffer.
+
+        Each step is computed in place, in the order the expression reads.
+        """
         a = np.asarray(times_a, dtype=np.float64)[:, None]
         b = np.asarray(times_b, dtype=np.float64)[None, :]
-        return self.variance * np.exp(-0.5 * (a - b) ** 2 / self.length_scale**2)
+        out = np.subtract(a, b)
+        np.square(out, out=out)
+        np.multiply(-0.5, out, out=out)
+        np.divide(out, self.length_scale**2, out=out)
+        np.exp(out, out=out)
+        return np.multiply(self.variance, out, out=out)
 
 
 def _conditional_draw(kernel, x_new, grid, alpha, factor, nu, rng):
@@ -172,6 +181,8 @@ def _grid_and_factor(kernel: RbfSpec, horizon):
     ``U`` is upper-triangular with ``U.T @ U`` the gram; ``U.T @ z`` draws
     f on the grid.  ``U`` is Fortran-ordered, so :func:`solve_with` hands
     it to LAPACK without a copy.  Both arrays are shared, so read-only.
+    At most two 512x512 arrays are alive at once: the gram and the copy
+    being factored, then the lower factor (freed on return) and ``U``.
     """
     grid = np.linspace(0.0, horizon, GROUND_TRUTH_GRID)
     (c, _), _ = chol_factor_jittered(kernel.gram(grid, grid), "ground-truth gram")

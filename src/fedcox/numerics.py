@@ -195,17 +195,26 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
     ``factor`` feeds :func:`solve_with` / :func:`chol_logdet`.  A matrix
     with a NaN or infinite entry in its lower triangle raises
     :class:`FactorizationError`.
+
+    Each rung factors a fresh Fortran-ordered copy of ``a`` in place, with
+    the jitter added to that copy's diagonal, so one copy is alive at a
+    time and ``a`` itself is never written.  The clean rung factors ``a``'s
+    entries as they are (a ``-0.0`` stays ``-0.0``), bit for bit as
+    ``scipy.linalg.cho_factor(a, lower=True)``.
     """
     a = np.asarray(a, dtype=np.float64)
     scale = float(np.mean(np.diag(a)))
     if not np.isfinite(scale) or scale <= 0:
         scale = 1.0
     jitter = JITTER_START * scale if baseline else 0.0
-    eye = np.eye(a.shape[0])
     while True:
+        c = np.array(a, order="F")
+        if jitter:
+            # The diagonal of c, through a flat view (reshape(-1) copies).
+            c.reshape(-1, order="F")[::c.shape[0] + 1] += jitter
         # scipy's cho_factor(lower=True) makes this call, so the factor is
         # bit-identical; its upper triangle is left as the input had it.
-        c, info = dpotrf(a + jitter * eye, lower=True, clean=False)
+        c, info = dpotrf(c, lower=True, clean=False, overwrite_a=True)
         if info == 0:
             # OpenBLAS reports success on non-finite input; any NaN or inf
             # in the triangle it reads reaches the factor's diagonal.

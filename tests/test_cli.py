@@ -4,12 +4,13 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from fedcox import cli, dataio
+from fedcox import cli, dataio, orchestrator
 from fedcox.aggregation import AggregationMethod
 from fedcox.cli import (
     fed_config,
@@ -431,6 +432,62 @@ class TestTrain:
         buf = io.StringIO()
         json.dump(json.loads(written), buf)
         assert written == buf.getvalue() + "\n"
+
+
+def sixteen_client_model():
+    """A freshly built 16-client model with 50 inducing points each."""
+    config = FedConfig(n_clients=16, participants_per_round=16, seed=3)
+    seqs = [[dataio.EventSequence(times=[0.25, 0.5], horizon=1.0)]] * 16
+    server, clients = orchestrator.build_clients(config, seqs, 1.0)
+    return server, clients, load_config()
+
+
+def save(path, model):
+    server, clients, cfg = model
+    cli.save_model(path, server, clients, cfg, 1.0, 1.0, (0.0, 1.0))
+
+
+class TestSaveModel:
+    def test_bytes_equal_one_shot_encode(self, tmp_path):
+        # Model files and parameter-record files are both streamed.
+        model = sixteen_client_model()
+        save(tmp_path / "model.json", model)
+        write_param_records([c.phi for c in model[1]], tmp_path / "records.json")
+        for name in ("model.json", "records.json"):
+            written = (tmp_path / name).read_text(encoding="utf-8")
+            assert written == json.dumps(json.loads(written)) + "\n"
+        clients = json.loads((tmp_path / "model.json").read_text())["clients"]
+        assert [c["id"] for c in clients] == list(range(16))
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
+        model = sixteen_client_model()
+        path = tmp_path / "model.json"
+        path.write_text("earlier model\n")
+        encode = cli._client_json
+
+        def fail_on_last(c):
+            record = encode(c)
+            if c.id == 15:
+                record["m"] = object()  # the JSON encoder raises TypeError
+            return record
+
+        monkeypatch.setattr(cli, "_client_json", fail_on_last)
+        with pytest.raises(TypeError):
+            save(path, model)
+        assert path.read_text() == "earlier model\n"
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_peak_memory_under_file_size(self, tmp_path):
+        model = sixteen_client_model()
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            save(path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One client record is alive at a time, not the whole model.
+        assert peak < path.stat().st_size
 
 
 class TestEval:

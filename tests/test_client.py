@@ -1,6 +1,7 @@
 """Client-side inference tests: moments, coordinate updates, bound, gradients."""
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,24 @@ class TestSharedSweepBlocks:
 
 
 class TestObjectiveGradient:
+    def test_samples_do_not_stack_in_memory(self):
+        # One sample's (times x inducing) blocks are alive at a time, so four
+        # samples peak about where one does.
+        spec = EncoderSpec(hidden_dim=32, output_dim=8)
+        st = make_state(np.random.default_rng(0), n_seqs=8, max_events=40,
+                        n_inducing=50, n_grid=150, spec=spec)
+        theta = random_theta(np.random.default_rng(1), spec)
+        peaks = {}
+        for n_samples in (1, 4):
+            cl.local_objective_grad(st, theta, None, n_samples, 3)
+            tracemalloc.start()
+            try:
+                cl.local_objective_grad(st, theta, None, n_samples, 3)
+                peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] < 1.5 * peaks[1]
+
     def test_kl_gradient_zero_at_prior_match(self):
         # No data terms and phi = theta: the divergence gradient w.r.t. the
         # mean must vanish.

@@ -1,6 +1,7 @@
 """Data generation, ingestion, splitting and partitioning tests."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,28 @@ class TestSimulateClient:
         assert calls == [("ground-truth gram",)]
         assert grid_a is grid_b
         assert not np.array_equal(lam_a, lam_b)
+
+    def test_cache_miss_peak_memory(self):
+        # The gram and one copy being factored, then the factor and U: about
+        # two 512x512 arrays at a time, not four.
+        gram_bytes = dataio.GROUND_TRUTH_GRID**2 * 8
+        dataio._grid_and_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            dataio._grid_and_factor(RbfSpec(1.5, 0.1), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * gram_bytes
+
+    def test_gram_equals_one_expression(self):
+        rng = np.random.default_rng(2)
+        kernel = RbfSpec(1.7, 0.3)
+        a, b = rng.uniform(0, 2, 40), rng.uniform(0, 2, 25)
+        want = kernel.variance * np.exp(
+            -0.5 * (a[:, None] - b[None, :]) ** 2 / kernel.length_scale**2
+        )
+        assert kernel.gram(a, b).tobytes() == want.tobytes()
 
 
 class TestRbfSpec:

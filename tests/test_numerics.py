@@ -321,6 +321,36 @@ class TestCholSolve:
         want, _ = cho_factor(a + jitter * np.eye(4), lower=True)
         assert jitter > 0 and c.tobytes(order="A") == want.tobytes(order="A")
 
+    @pytest.mark.parametrize("a, baseline, jittered", [
+        (np.array([[4.0, 1.0], [1.0, 3.0]]), False, False),  # clean
+        (np.array([[4.0, 1.0], [1.0, 3.0]]), True, True),  # baseline rung
+        (np.ones((4, 4)), False, True),  # clean attempt fails, then a rung
+    ], ids=["clean", "baseline", "ladder"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged(self, a, baseline, jittered, order):
+        a = np.array(a, order=order)
+        before = a.copy()
+        _, jitter = chol_factor_jittered(a, baseline=baseline)
+        assert (jitter > 0) == jittered
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged_after_failure(self, order):
+        a = np.array([[1.0, 0.0], [0.0, -5.0]], order=order)
+        before = a.copy()
+        with pytest.raises(FactorizationError):
+            chol_factor_jittered(a)
+        assert a.tobytes() == before.tobytes()
+        assert a.flags.writeable
+
+    def test_negative_zeros_kept(self):
+        a = np.array([[4.0, -0.0, 1.0], [-0.0, 2.0, -0.0], [1.0, -0.0, 3.0]])
+        (c, _), jitter = chol_factor_jittered(a)
+        want, _ = cho_factor(a, lower=True, check_finite=False)
+        assert jitter == 0.0
+        assert c.tobytes(order="A") == want.tobytes(order="A")
+        assert np.signbit(c[1, 0]) and np.signbit(c[0, 1])
+
     def test_empty_right_hand_side(self):
         factor, _ = chol_factor_jittered(np.eye(3))
         b = np.empty((3, 0))
