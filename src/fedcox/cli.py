@@ -176,10 +176,13 @@ def _write_versioned(path, payload: dict, last_key: str, items) -> None:
     The line ends with ``last_key``, whose list is encoded and written one
     element of ``items`` at a time; the bytes are those of ``json.dumps`` on
     the whole object.  The line goes to a temporary file beside ``path``
-    that replaces ``path`` only once complete, so a failed or interrupted
-    write leaves any earlier file as it was.
+    that is flushed to disk and only then replaces ``path``, so after a
+    failed write, a killed process or a power loss ``path`` holds either
+    the earlier file as it was or the whole new one.  A symlinked ``path`` is replaced at its target.  The new file
+    takes the default mode for new files, not the old file's, and the
+    directory must be writable.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
@@ -193,6 +196,8 @@ def _write_versioned(path, payload: dict, last_key: str, items) -> None:
                 fh.write(json.dumps(item))
                 sep = ", "
             fh.write("]}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -211,9 +211,11 @@ class _SampleCache:
     that :func:`update_inducing` reads are built (``k_tz``, ``beta`` and
     ``alpha``), not ``beta_cov``, ``mean`` or ``var``.
 
-    Each instance holds several (times x inducing) blocks, so
-    :func:`_caches` builds one sample's at a time and its consumers release
-    it before asking for the next.
+    Each instance holds several (times x inducing) blocks, so callers pass
+    it straight into a function (:func:`_sample_moments`,
+    :func:`_natural_terms`, :func:`_sample_grad`) and never bind it in a
+    loop: it is freed when that call returns, before the next sample's is
+    built, so one sample's blocks are alive at a time.
 
     Bit-identity contract: reuse is limited to blocks whose floats do not
     depend on which call computes them.  Inducing-point blocks depend on
@@ -266,32 +268,18 @@ def _inducing_blocks(state, w):
     return [_InducingBlocks(state, row) for row in w]
 
 
-def _caches(state, w, times, blocks=None, moments=True):
-    """Each sample's :class:`_SampleCache` at ``times``, one at a time.
+def _sample_moments(c):
+    """One sample's first and second moments of f at its cache's times."""
+    return c.mean, c.var + c.mean**2
 
-    The next cache is built only when the consumer asks for it, so a loop
-    that drops its reference at the end of each pass (``del c``) holds one
-    sample's (times x inducing) blocks at a time, whatever the sample count.
-    Without ``blocks`` each sample's inducing blocks are built as it comes.
-    """
+
+def _mixture_moments(state, w, times, blocks=None):
+    """First and second moments of f averaged over the kernel samples."""
     if blocks is None:
-        w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-        blocks = (_InducingBlocks(state, row) for row in w)
-    for z in blocks:
-        yield _SampleCache(state, z, times, moments)
-
-
-def _mixture_moments(caches):
-    """First and second moments of f averaged over the kernel samples.
-
-    ``caches`` is consumed one at a time; only each sample's two moment
-    vectors are kept.
-    """
-    means, seconds = [], []
-    for c in caches:
-        means.append(c.mean)
-        seconds.append(c.var + c.mean**2)
-        del c
+        blocks = _inducing_blocks(state, w)
+    means, seconds = zip(*(
+        _sample_moments(_SampleCache(state, z, times)) for z in blocks
+    ))
     return np.stack(means).mean(axis=0), np.stack(seconds).mean(axis=0)
 
 
@@ -303,8 +291,7 @@ def posterior_f_moments(state: ClientState | PredictiveState, w, times):
     Variances are clamped to at least 1e-12.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    caches = _caches(state, w, times)
-    ef, ef2 = _mixture_moments(caches)
+    ef, ef2 = _mixture_moments(state, w, times)
     var = ef2 - ef**2
     if np.any(var < -1e-8):
         log.warning("posterior variance fell below -1e-8; clamping")
@@ -319,8 +306,7 @@ def update_pg(state: ClientState, w, blocks=None) -> np.ndarray:
     does; results are bit-identical either way.
     """
     if state.events.size:
-        caches = _caches(state, w, state.events, blocks)
-        _, ef2 = _mixture_moments(caches)
+        _, ef2 = _mixture_moments(state, w, state.events, blocks)
         state.pg = np.sqrt(np.maximum(ef2, 0.0))
     return state.pg
 
@@ -332,8 +318,7 @@ def update_latent_pp(state: ClientState, w, blocks=None) -> np.ndarray:
     exponent is clamped to +-60 and clamping is recorded in diagnostics.
     ``blocks`` is as in :func:`update_pg`.
     """
-    caches = _caches(state, w, state.grid.nodes, blocks)
-    ef, ef2 = _mixture_moments(caches)
+    ef, ef2 = _mixture_moments(state, w, state.grid.nodes, blocks)
     state.latent_c = np.sqrt(np.maximum(ef2, 0.0))
     log_rate = math.log(state.m) - 0.5 * ef - log_2cosh(0.5 * state.latent_c)
     clipped = np.abs(log_rate) > _LOG_RATE_CLAMP
@@ -374,20 +359,18 @@ def update_inducing(state: ClientState, w, blocks=None) -> InducingPosterior:
     b_all = np.concatenate([b_ev, b_gr])
     times = np.concatenate([state.events, state.grid.nodes])
     m_ind = state.q_u.locations.size
+    if blocks is None:
+        blocks = _inducing_blocks(state, w)
     precision = np.zeros((m_ind, m_ind))
     linear = np.zeros(m_ind)
-    ones = np.ones(m_ind)
-    n_samples = 0
-    for c in _caches(state, w, times, blocks, moments=False):
-        kzz_inv = c.z.kzz_inv
-        offset = state.nu * (1.0 - c.k_tz @ solve_with(c.z.factor, ones))
-        b_tilde = b_all - a_all * offset
-        precision += c.beta.T @ (a_all[:, None] * c.beta) + kzz_inv
-        linear += c.beta.T @ b_tilde + state.nu * (kzz_inv @ ones)
-        n_samples += 1
-        del c
-    precision /= n_samples
-    linear /= n_samples
+    for z in blocks:
+        terms = _natural_terms(
+            state, _SampleCache(state, z, times, moments=False), a_all, b_all
+        )
+        precision += terms[0]
+        linear += terms[1]
+    precision /= len(blocks)
+    linear /= len(blocks)
     factor, _ = chol_factor_jittered(
         precision, f"client {state.id} inducing precision"
     )
@@ -397,6 +380,18 @@ def update_inducing(state: ClientState, w, blocks=None) -> InducingPosterior:
         locations=state.q_u.locations, mean=solve_with(factor, linear), cov=cov
     )
     return state.q_u
+
+
+def _natural_terms(state, c, a_all, b_all):
+    """One sample's terms of q(u)'s precision and linear natural parameters."""
+    kzz_inv = c.z.kzz_inv
+    ones = np.ones(kzz_inv.shape[0])
+    offset = state.nu * (1.0 - c.k_tz @ solve_with(c.z.factor, ones))
+    b_tilde = b_all - a_all * offset
+    return (
+        c.beta.T @ (a_all[:, None] * c.beta) + kzz_inv,
+        c.beta.T @ b_tilde + state.nu * (kzz_inv @ ones),
+    )
 
 
 def update_scale(state: ClientState) -> float:
@@ -501,7 +496,7 @@ def augmented_elbo(state: ClientState, w, batch=None) -> float:
     """
     idx, scale, times = _batch_events(state, batch)
     blocks = _inducing_blocks(state, w)
-    ef, ef2 = _mixture_moments(_caches(state, w, times, blocks))
+    ef, ef2 = _mixture_moments(state, w, times, blocks)
     n_ev = idx.size
     value = scale * float(np.sum(_event_terms(state, ef[:n_ev], ef2[:n_ev], idx)))
     value += _grid_term(state, ef[n_ev:], ef2[n_ev:])
@@ -552,9 +547,8 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     b_t = np.concatenate([scale * a_ev[idx], a_gr])
 
     grad_w = np.zeros((n_w_samples, state.phi.dim))
-    for s, c in enumerate(_caches(state, w, times)):
-        grad_w[s] = _sample_grad(state, c, a_t, b_t)
-        del c
+    for s, z in enumerate(_inducing_blocks(state, w)):
+        grad_w[s] = _sample_grad(state, _SampleCache(state, z, times), a_t, b_t)
     g_mean = grad_w.mean(axis=0)
     g_logv = (grad_w * eps).mean(axis=0) * 0.5 * std
     # Kernel-parameter divergence (always KL for the client-side gradient).

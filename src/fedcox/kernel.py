@@ -206,7 +206,7 @@ def _sqdist(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     then the remainder.  The result is bit-identical to
     ``np.sum((ha[:, None] - hb[None]) ** 2, axis=-1)`` without forming the
     (n, m, d) tensor.  At most 2 (n, m) buffers are alive below 8
-    coordinates, 4 below 16 and 9 from 16 on.
+    coordinates and 9 from 8 on.
     """
     n_dim = ha.shape[1]
     if n_dim > _PAIRWISE_BLOCK:
@@ -219,33 +219,18 @@ def _sqdist(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
         out = np.subtract(cols_a[k], cols_b[k], out=out)
         return np.multiply(out, out, out=out)
 
-    def pair(k, out=None):
-        out = square(k, out)
-        out += square(k + 1, scratch)
-        return out
-
     if n_dim < 8:
         total = square(0)
         for k in range(1, n_dim):
             total += square(k, scratch)
         return total
-    if n_dim < 16:
-        # Each running sum is a single square, so the tree's pair sums are
-        # formed only as the tree needs them.
-        total = pair(0)
-        half = pair(2)
-        total += half  # (r0 + r1) + (r2 + r3)
-        half = pair(4, half)
-        half += pair(6)  # (r4 + r5) + (r6 + r7)
-        total += half
-    else:
-        r = [square(k) for k in range(8)]
-        for k in range(8, n_dim - n_dim % 8):
-            r[k % 8] += square(k, scratch)
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place.
-        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            r[i] += r[j]
-        total = r[0]
+    r = [square(k) for k in range(8)]
+    for k in range(8, n_dim - n_dim % 8):
+        r[k % 8] += square(k, scratch)
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place.
+    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[i] += r[j]
+    total = r[0]
     for k in range(n_dim - n_dim % 8, n_dim):
         total += square(k, scratch)
     return total

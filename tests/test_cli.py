@@ -477,6 +477,18 @@ class TestSaveModel:
         assert path.read_text() == "earlier model\n"
         assert os.listdir(tmp_path) == ["model.json"]
 
+    def test_symlinked_target_written_through(self, tmp_path):
+        model = sixteen_client_model()
+        (tmp_path / "store").mkdir()
+        target = tmp_path / "store" / "model.json"
+        target.write_text("earlier model\n")
+        link = tmp_path / "model.json"
+        link.symlink_to(target)
+        save(link, model)
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["round"] == model[0].round
+        assert sorted(os.listdir(tmp_path / "store")) == ["model.json"]
+
     def test_peak_memory_under_file_size(self, tmp_path):
         model = sixteen_client_model()
         path = tmp_path / "model.json"
