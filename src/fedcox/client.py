@@ -547,8 +547,13 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
     b_t = np.concatenate([scale * a_ev[idx], a_gr])
 
     grad_w = np.zeros((n_w_samples, state.phi.dim))
-    for s, z in enumerate(_inducing_blocks(state, w)):
-        grad_w[s] = _sample_grad(state, _SampleCache(state, z, times), a_t, b_t)
+    # Blocks and cache are temporaries of one statement, so one sample's are
+    # alive at a time (enumerate would hold the previous sample's blocks).
+    for s in range(n_w_samples):
+        grad_w[s] = _sample_grad(
+            state, _SampleCache(state, _InducingBlocks(state, w[s]), times),
+            a_t, b_t,
+        )
     g_mean = grad_w.mean(axis=0)
     g_logv = (grad_w * eps).mean(axis=0) * 0.5 * std
     # Kernel-parameter divergence (always KL for the client-side gradient).

@@ -16,7 +16,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .numerics import check_setting, chol_factor_jittered, solve_with
+from .numerics import (
+    check_setting,
+    chol_factor_jittered,
+    half_solve_with,
+    solve_with,
+)
 
 __all__ = [
     "EventSequence",
@@ -159,17 +164,20 @@ class RbfSpec:
 def _conditional_draw(kernel, x_new, grid, alpha, factor, nu, rng):
     """Draw f(x_new) given the grid draw under a GP(nu, kernel).
 
-    ``factor`` is the Cholesky factor of the grid gram and ``alpha`` its
+    ``factor`` is the Cholesky factor of the grid gram K and ``alpha`` its
     solve against ``f_grid - nu``.  Each point gets its conditional mean
-    plus independent noise of its conditional variance.
+    ``nu + k alpha`` plus independent noise of its conditional variance
+    ``k(t, t) - ||v||^2``, where ``v = L^-1 k^T`` is one triangular sweep
+    (:func:`half_solve_with`) written over the cross gram's buffer.
     """
     if len(x_new) == 0:
         return np.empty(0)
     k_no = kernel.gram(x_new, grid)
     mean = nu + k_no @ alpha
-    solved = solve_with(factor, k_no.T)  # (n_grid, n_new)
+    # k_no.T is Fortran-ordered, so the sweep overwrites it without a copy.
+    v = half_solve_with(factor, k_no.T, overwrite_b=True)  # (n_grid, n_new)
     # The RBF kernel's diagonal k(t, t) is its variance.
-    cond_var = kernel.variance - np.einsum("nm,mn->n", k_no, solved)
+    cond_var = kernel.variance - np.einsum("mn,mn->n", v, v)
     std = np.sqrt(np.maximum(cond_var, 0.0))
     return mean + std * rng.standard_normal(len(mean))
 
@@ -250,7 +258,9 @@ def simulate_client(m, kernel, horizon, n_seqs, seed, nu=0.0):
 
     f is drawn once on the ground-truth grid and solved against its gram
     once; each sequence's candidates get the grid-conditional mean of f
-    plus per-point residual noise, then are thinned independently.
+    plus per-point residual noise, then are thinned independently.  The
+    residual variance takes one triangular solve per sequence with
+    candidates (:func:`_conditional_draw`), against the cached grid factor.
     ``kernel`` is an :class:`RbfSpec` with length scale at least two grid
     spacings, ``2 * horizon / (GROUND_TRUTH_GRID - 1)`` (ValueError
     otherwise), where the residual variance is at most ~8e-6 of the

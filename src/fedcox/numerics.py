@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "DiagGaussian",
@@ -253,6 +253,29 @@ def solve_with(factor, b):
     x, info = dpotrs(c, b, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def half_solve_with(factor, b, overwrite_b: bool = False):
+    """``L^-1 b`` for an existing factor of ``K = L L^T``: one triangular sweep.
+
+    ``factor`` is ``(c, lower)`` as for :func:`solve_with`; with an upper
+    factor ``U`` (``K = U^T U``), ``L`` is ``U^T``.  Column by column,
+    ``||L^-1 b||^2`` is the diagonal of ``b^T K^-1 b``, which takes half the
+    work of :func:`solve_with`'s two sweeps.  One LAPACK ``dtrtrs`` call.
+    With ``overwrite_b`` and a Fortran-ordered float64 ``b`` the result is
+    written into ``b`` and no copy is made.
+    """
+    c, lower = factor
+    b = np.asarray(b, dtype=np.float64)
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = dtrtrs(c, b, lower=lower, trans=0 if lower else 1,
+                     overwrite_b=overwrite_b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    if info > 0:
+        raise FactorizationError(f"factor has a zero at diagonal entry {info}")
     return x
 
 

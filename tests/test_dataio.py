@@ -1,4 +1,5 @@
 """Data generation, ingestion, splitting and partitioning tests."""
+import hashlib
 import json
 import math
 import tracemalloc
@@ -294,6 +295,46 @@ class TestSimulateClient:
         assert kernel.gram(a, b).tobytes() == want.tobytes()
 
 
+def draw_digest(seqs, truth):
+    """SHA-256 of each sequence's length and times, then grid and intensity."""
+    h = hashlib.sha256()
+    for seq in seqs:
+        h.update(np.int64(len(seq)).tobytes())
+        h.update(seq.times.tobytes())
+    grid, intensity = truth
+    h.update(grid.tobytes())
+    h.update(intensity.tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratedDataPinned:
+    """Simulated sequences and intensities are fixed bytes for each seed.
+
+    Recorded with a two-sweep solve for the conditional variance, so they
+    also show that the one-sweep form, which rounds differently, keeps
+    every draw.
+    """
+
+    @pytest.mark.parametrize("args, kwargs, want", [
+        ((50.0, RbfSpec(1.5, 0.1), 1.0, 12, 3), {},
+         "415464117e55696199fb340feb9158de44432b71c3da12a69fec1f8d3e33fe18"),
+        ((50.0, RbfSpec(2.0, 0.125), 1.0, 12, 4), {},
+         "b16032b6f6137d7ed7efe29364f6519b0d24bcf5688dbf76deeaa71c7b67d969"),
+        ((20.0, RbfSpec(1.5, 0.5), 7.5, 6, 5), {"nu": 0.3},
+         "7553bd830baf365c41cbf4f89cbb0ed770a37bc2d346d0f6516a977b453073ab"),
+    ], ids=["criterion-8-a", "criterion-8-b", "nu-horizon-7.5"])
+    def test_simulate_client(self, args, kwargs, want):
+        seqs, truth = simulate_client(*args, **kwargs)
+        assert draw_digest(seqs, truth) == want
+
+    def test_simulate_sgcp(self):
+        seq, truth = simulate_sgcp(50.0, RbfSpec(1.5, 0.1), 1.0, 6)
+        assert len(seq) == 31
+        assert draw_digest([seq], truth) == (
+            "a510c01a4a56ed7e3d2dd588590c90b371a2fbe4c9a48c8a9dcc64bfae13b20f"
+        )
+
+
 class TestRbfSpec:
     @pytest.mark.parametrize("variance, length", [
         (np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, 0.0),
@@ -323,19 +364,26 @@ class TestGridResolution:
         assert np.all(seq.times <= 7.5)
 
     def test_one_grid_solve_per_client(self, monkeypatch):
-        calls = []
+        solves, half_solves = [], []
 
-        def counting(factor, b):
-            calls.append(np.shape(b))
-            return solve(factor, b)
+        def counting(calls, fn):
+            def wrapped(factor, b, *args, **kwargs):
+                calls.append(np.shape(b))
+                return fn(factor, b, *args, **kwargs)
+            return wrapped
 
-        solve = dataio.solve_with
-        monkeypatch.setattr(dataio, "solve_with", counting)
+        monkeypatch.setattr(dataio, "solve_with",
+                            counting(solves, dataio.solve_with))
+        monkeypatch.setattr(dataio, "half_solve_with",
+                            counting(half_solves, dataio.half_solve_with))
         seqs, _ = simulate_client(50.0, RbfSpec(1.5, 0.1), 1.0, 4, 3)
         assert all(len(s) > 0 for s in seqs)
-        # One solve of f_grid - nu, then one per sequence's candidates.
-        assert len(calls) == 4 + 1
-        assert calls[0] == (dataio.GROUND_TRUTH_GRID,)
+        # One full solve of f_grid - nu, then one triangular sweep per
+        # sequence's candidates.
+        assert solves == [(dataio.GROUND_TRUTH_GRID,)]
+        assert len(half_solves) == 4
+        assert all(shape[0] == dataio.GROUND_TRUTH_GRID and shape[1] > 0
+                   for shape in half_solves)
 
     @pytest.mark.parametrize("horizon", [1.0, 7.5])
     def test_residual_variance_negligible_at_every_accepted_length(self,

@@ -13,6 +13,7 @@ from fedcox.numerics import (
     QuadratureGrid,
     check_setting,
     chol_factor_jittered,
+    half_solve_with,
     kl_diag,
     mmd_rbf,
     pg_mean,
@@ -379,6 +380,50 @@ class TestCholSolve:
         a = np.array([[1.0, 0.0], [0.0, -5.0]])  # indefinite beyond max jitter
         with pytest.raises(FactorizationError, match="doomed gram"):
             chol_factor_jittered(a, "doomed gram")
+
+
+class TestHalfSolve:
+    @staticmethod
+    def factors(m, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((m, m))
+        a = g @ g.T + m * np.eye(m)
+        (c, lower), _ = chol_factor_jittered(a)
+        # The lower factor as returned (its upper triangle is not zeroed) and
+        # the upper Fortran-ordered (U, False) form of the ground-truth sampler.
+        return rng, [(c, lower), (np.tril(c).T, False)]
+
+    @pytest.mark.parametrize("m", [1, 20, 60])
+    def test_squared_norm_is_quadratic_form_diagonal(self, m):
+        rng, factors = self.factors(m, m)
+        b = rng.standard_normal((m, 7))
+        for factor in factors:
+            v = half_solve_with(factor, b)
+            want = np.einsum("mn,mn->n", b, solve_with(factor, b))
+            np.testing.assert_allclose(np.sum(v * v, axis=0), want,
+                                       rtol=1e-12, atol=0)
+
+    def test_empty_right_hand_side(self):
+        _, factors = self.factors(3, 2)
+        for factor in factors:
+            got = half_solve_with(factor, np.empty((3, 0)))
+            assert got.shape == (3, 0) and got.dtype == np.float64
+
+    def test_zero_on_the_diagonal_raises(self):
+        factor = (np.array([[1.0, 0.0], [0.5, 0.0]], order="F"), True)
+        with pytest.raises(FactorizationError, match="diagonal entry 2"):
+            half_solve_with(factor, np.ones(2))
+
+    def test_overwrite_writes_into_fortran_input(self):
+        rng, factors = self.factors(12, 3)
+        for factor in factors:
+            k = rng.standard_normal((5, 12))  # C-ordered, so k.T is F-ordered
+            before = k.copy()
+            want = half_solve_with(factor, k.T)
+            assert k.tobytes() == before.tobytes()
+            got = half_solve_with(factor, k.T, overwrite_b=True)
+            assert np.shares_memory(got, k)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrapezoidGrid:
