@@ -175,7 +175,7 @@ def _conditional_draw(kernel, x_new, grid, alpha, factor, nu, rng):
     k_no = kernel.gram(x_new, grid)
     mean = nu + k_no @ alpha
     # k_no.T is Fortran-ordered, so the sweep overwrites it without a copy.
-    v = half_solve_with(factor, k_no.T, overwrite_b=True)  # (n_grid, n_new)
+    v = half_solve_with(factor, k_no.T)  # (n_grid, n_new)
     # The RBF kernel's diagonal k(t, t) is its variance.
     cond_var = kernel.variance - np.einsum("mn,mn->n", v, v)
     std = np.sqrt(np.maximum(cond_var, 0.0))

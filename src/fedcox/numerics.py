@@ -256,22 +256,22 @@ def solve_with(factor, b):
     return x
 
 
-def half_solve_with(factor, b, overwrite_b: bool = False):
+def half_solve_with(factor, b):
     """``L^-1 b`` for an existing factor of ``K = L L^T``: one triangular sweep.
 
     ``factor`` is ``(c, lower)`` as for :func:`solve_with`; with an upper
     factor ``U`` (``K = U^T U``), ``L`` is ``U^T``.  Column by column,
     ``||L^-1 b||^2`` is the diagonal of ``b^T K^-1 b``, which takes half the
     work of :func:`solve_with`'s two sweeps.  One LAPACK ``dtrtrs`` call.
-    With ``overwrite_b`` and a Fortran-ordered float64 ``b`` the result is
-    written into ``b`` and no copy is made.
+    A Fortran-ordered float64 ``b`` is consumed: the result is written into
+    it and no copy is made.  Any other ``b`` is copied and left unchanged.
     """
     c, lower = factor
     b = np.asarray(b, dtype=np.float64)
     if b.size == 0:
         return np.empty_like(b)
     x, info = dtrtrs(c, b, lower=lower, trans=0 if lower else 1,
-                     overwrite_b=overwrite_b)
+                     overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     if info > 0:

@@ -398,8 +398,9 @@ class TestHalfSolve:
         rng, factors = self.factors(m, m)
         b = rng.standard_normal((m, 7))
         for factor in factors:
-            v = half_solve_with(factor, b)
             want = np.einsum("mn,mn->n", b, solve_with(factor, b))
+            # A copy, since a (1, 7) array is Fortran-ordered and so consumed.
+            v = half_solve_with(factor, b.copy())
             np.testing.assert_allclose(np.sum(v * v, axis=0), want,
                                        rtol=1e-12, atol=0)
 
@@ -414,14 +415,14 @@ class TestHalfSolve:
         with pytest.raises(FactorizationError, match="diagonal entry 2"):
             half_solve_with(factor, np.ones(2))
 
-    def test_overwrite_writes_into_fortran_input(self):
+    def test_fortran_input_is_written_in_place(self):
         rng, factors = self.factors(12, 3)
         for factor in factors:
             k = rng.standard_normal((5, 12))  # C-ordered, so k.T is F-ordered
-            before = k.copy()
-            want = half_solve_with(factor, k.T)
-            assert k.tobytes() == before.tobytes()
-            got = half_solve_with(factor, k.T, overwrite_b=True)
+            k_t = k.T.copy()  # C-ordered: copied by the call, not written
+            want = half_solve_with(factor, k_t)
+            assert k_t.tobytes() == k.T.tobytes()
+            got = half_solve_with(factor, k.T)
             assert np.shares_memory(got, k)
             assert got.tobytes() == want.tobytes()
 
