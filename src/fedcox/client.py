@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.special import expit, roots_hermite
@@ -70,6 +70,9 @@ GAUSS_HERMITE_ORDER = 20
 _GH_NODES, _GH_WEIGHTS = roots_hermite(GAUSS_HERMITE_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
 
+# Trapezoid nodes of the integrated intensity in held-out scores.
+HELDOUT_QUAD_NODES = 200
+
 
 @dataclass
 class InducingPosterior:
@@ -95,10 +98,14 @@ class InducingPosterior:
 
 @dataclass
 class ClientState:
-    """Everything one client owns between communication rounds."""
+    """Everything one client owns between communication rounds.
+
+    ``train_seqs`` is read once, at construction: its event times are held
+    flat in ``events``, with one slice per sequence in ``seq_slices``.
+    """
 
     id: int
-    train_seqs: list
+    train_seqs: InitVar[list]
     grid: QuadratureGrid
     spec: EncoderSpec
     m: float
@@ -108,16 +115,16 @@ class ClientState:
     pg: np.ndarray
     latent_rate: np.ndarray
     latent_c: np.ndarray
-    n_w_samples: int = 4
+    n_w_samples: int
     diagnostics: dict = field(default_factory=dict)
     events: np.ndarray = field(init=False)
     seq_slices: list = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, train_seqs):
         if self.m <= 0:
             raise ValueError("scale m must be positive")
         times, slices, start = [], [], 0
-        for seq in self.train_seqs:
+        for seq in train_seqs:
             times.append(seq.times)
             slices.append(slice(start, start + len(seq)))
             start += len(seq)
@@ -133,7 +140,7 @@ class ClientState:
 
     @property
     def n_seqs(self) -> int:
-        return len(self.train_seqs)
+        return len(self.seq_slices)
 
 
 @dataclass(frozen=True)
@@ -652,26 +659,25 @@ def _expected_sigmoid(mean, var):
     return expit(f) @ _GH_WEIGHTS
 
 
-def intensity(state: ClientState | PredictiveState, times, w=None) -> np.ndarray:
+def intensity(state: ClientState | PredictiveState, times) -> np.ndarray:
     """Posterior predictive intensity m E[sigmoid(f(t))] at ``times``.
 
-    The expectation over f uses 20-node Gauss-Hermite quadrature on the
-    Gaussian marginal; ``w`` defaults to the variational mean.
+    The kernel parameters are fixed at the variational mean; the
+    expectation over f uses 20-node Gauss-Hermite quadrature on the
+    Gaussian marginal.
     """
-    if w is None:
-        w = state.phi.mean
-    mean, var = posterior_f_moments(state, w, times)
+    mean, var = posterior_f_moments(state, state.phi.mean, times)
     return state.m * _expected_sigmoid(mean, var)
 
 
-def test_loglik(state: ClientState | PredictiveState, test_seqs, interval,
-                n_quad: int = 200) -> float:
+def test_loglik(state: ClientState | PredictiveState, test_seqs,
+                interval) -> float:
     """Average held-out log-likelihood over sequences on ``interval``.
 
     Per sequence: sum of log intensity at its events minus the integrated
-    intensity over [t_a, t_b] (trapezoid with ``n_quad`` nodes), with the
-    kernel parameters fixed at the variational mean.  One intensity call
-    covers the grid and every test event.
+    intensity over [t_a, t_b] (trapezoid with ``HELDOUT_QUAD_NODES``
+    nodes), with the kernel parameters fixed at the variational mean.  One
+    intensity call covers the grid and every test event.
     """
     t_a, t_b = float(interval[0]), float(interval[1])
     if not t_a < t_b:
@@ -683,10 +689,10 @@ def test_loglik(state: ClientState | PredictiveState, test_seqs, interval,
             seq.times[0] < t_a or seq.times[-1] > t_b
         ):
             raise ValueError("test event outside the evaluation interval")
-    grid = np.linspace(t_a, t_b, n_quad)
+    grid = np.linspace(t_a, t_b, HELDOUT_QUAD_NODES)
     lam = intensity(state, np.concatenate([grid] + [s.times for s in test_seqs]))
-    integral = float(np.trapezoid(lam[:n_quad], grid))
-    log_lam = np.log(np.maximum(lam[n_quad:], 1e-300))
+    integral = float(np.trapezoid(lam[:HELDOUT_QUAD_NODES], grid))
+    log_lam = np.log(np.maximum(lam[HELDOUT_QUAD_NODES:], 1e-300))
     total, start = 0.0, 0
     for seq in test_seqs:
         if seq.times.size:
@@ -698,39 +704,27 @@ def test_loglik(state: ClientState | PredictiveState, test_seqs, interval,
 
 def init_client(client_id: int, train_seqs, theta: DiagGaussian,
                 spec: EncoderSpec, inducing_locations, grid: QuadratureGrid,
-                n_w_samples: int = 4, nu: float = 0.0) -> ClientState:
+                k_zz: np.ndarray, n_w_samples: int) -> ClientState:
     """Fresh client state: phi broadcast from theta, q(u) at the prior.
 
-    The initial scale is twice the empirical event rate; the latent rate
-    starts at the corresponding zero-function value m/2.
+    ``k_zz`` is the prior gram at the inducing locations under theta's
+    mean; it becomes the q(u) covariance without a copy, so each client
+    needs its own.  The initial scale is twice the empirical event rate;
+    the latent rate starts at the corresponding zero-function value m/2.
     """
     z = np.asarray(inducing_locations, dtype=np.float64)
-    return _init_client(client_id, train_seqs, theta, spec, z, grid,
-                        dk.kernel_matrix(z, z, theta.mean, spec),
-                        n_w_samples, nu)
-
-
-def _init_client(client_id, train_seqs, theta, spec, z, grid, k_zz,
-                 n_w_samples=4, nu=0.0) -> ClientState:
-    """:func:`init_client` given the prior gram ``k_zz`` at ``z``.
-
-    ``z`` is a float64 vector; ``k_zz`` becomes the q(u) covariance
-    without a copy, so each client needs its own.
-    """
     n_events = sum(len(s) for s in train_seqs)
     rate = n_events / (max(len(train_seqs), 1) * grid.horizon)
     m0 = 2.0 * rate if rate > 0 else 1.0 / grid.horizon
     return ClientState(
         id=client_id,
-        train_seqs=list(train_seqs),
+        train_seqs=train_seqs,
         grid=grid,
         spec=spec,
         m=m0,
-        nu=nu,
+        nu=0.0,
         phi=DiagGaussian(theta.mean.copy(), theta.var.copy()),
-        q_u=InducingPosterior(
-            locations=z, mean=np.full(z.size, nu), cov=k_zz
-        ),
+        q_u=InducingPosterior(locations=z, mean=np.zeros(z.size), cov=k_zz),
         pg=np.ones(n_events),
         latent_rate=np.full(grid.size, 0.5 * m0),
         latent_c=np.zeros(grid.size),

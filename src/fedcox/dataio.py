@@ -110,7 +110,8 @@ class EventSequence:
 class DatasetSplit:
     """Per-sequence train/val/test slices of the normalized timeline.
 
-    Boundaries are closed on the left split: an event at exactly the
+    Timelines are normalized to [0, NORMALIZED_HORIZON] and cut at
+    SPLIT_BOUNDARIES.  Boundaries are closed on the left split: an event at exactly the
     train/val boundary belongs to train, one at the val/test boundary to
     validation.
     """
@@ -118,8 +119,6 @@ class DatasetSplit:
     train: list
     val: list
     test: list
-    boundaries: tuple = SPLIT_BOUNDARIES
-    horizon: float = NORMALIZED_HORIZON
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,7 @@ def accumulate_param_grad(
     tape_t: EmbedTape,
     params,
     spec: EncoderSpec,
-    k_zz_jitter: float = 0.0,
+    k_zz_jitter: float,
 ) -> np.ndarray:
     """Chain scalar-per-entry kernel sensitivities into a packed gradient.
 

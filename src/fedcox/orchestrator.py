@@ -137,10 +137,17 @@ def build_clients(config: FedConfig, train_sets, horizon: float,
     ``train_window`` bounds the observed part of the timeline (the
     quadrature grid and the likelihood integral); inducing locations span
     the full horizon so the model extrapolates to evaluation intervals.
+    A client without training sequences has no event rate to fit; if
+    there are any, ValueError names each of them.
     """
     if len(train_sets) != config.n_clients:
         raise ValueError(
             f"dataset has {len(train_sets)} clients, config says {config.n_clients}"
+        )
+    empty = [cid for cid, seqs in enumerate(train_sets) if len(seqs) == 0]
+    if empty:
+        raise ValueError(
+            f"no training sequences for client {', '.join(map(str, empty))}"
         )
     if train_window is None:
         train_window = horizon
@@ -151,10 +158,8 @@ def build_clients(config: FedConfig, train_sets, horizon: float,
     # Every client starts q(u) at the same prior gram; each gets a copy.
     k_zz = kernel_matrix(inducing, inducing, server.theta.mean, spec)
     clients = [
-        cl._init_client(
-            cid, seqs, server.theta, spec, inducing, grid, k_zz.copy(),
-            n_w_samples=config.n_w_samples,
-        )
+        cl.init_client(cid, seqs, server.theta, spec, inducing, grid,
+                       k_zz.copy(), config.n_w_samples)
         for cid, seqs in enumerate(train_sets)
     ]
     return server, clients

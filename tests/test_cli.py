@@ -420,6 +420,35 @@ class TestTrain:
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         assert "horizon 1e-310 is too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["time", "sequence"])
+    def test_client_without_training_sequences_exits_1(self, tmp_path, split,
+                                                       capsys):
+        # Time split: three lines dealt to four clients leave client 3
+        # none.  Sequence split: client 1's train file is empty.
+        cfg = dict(SMALL_CONFIG, clients=4)
+        if split == "time":
+            cfg.update({"split": "time", "event_types": 4,
+                        "types_per_client": 2})
+            data = tmp_path / "events.jsonl"
+            line = json.dumps({"times": [10.0, 20.0, 30.0],
+                               "marks": [0, 1, 2], "horizon": 50.0})
+            data.write_text(3 * (line + "\n"))
+            missing = 3
+        else:
+            data = tmp_path / "data"
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        if split == "sequence":
+            assert main(["generate", "--config", str(cfg_path),
+                         "--out", str(data)]) == 0
+            (data / "client_01.train.jsonl").write_text("")
+            missing = 1
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--data", str(data),
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"no training sequences for client {missing}\n" in err
+
     def test_model_file_bytes_equal_json_dump(self, tmp_path, time_layout):
         cfg_path, data = time_layout
         model = tmp_path / "model.json"

@@ -76,6 +76,7 @@ def saturated_kernel_state(q_mean, q_var, m):
         pg=np.empty(0),
         latent_rate=np.zeros(5),
         latent_c=np.zeros(5),
+        n_w_samples=4,
     )
 
 
@@ -136,7 +137,6 @@ class TestPosteriorMoments:
 class TestUpdatePg:
     def test_unit_moments(self):
         st = saturated_kernel_state(0.0, 1.0, 2.0)
-        st.train_seqs = [EventSequence(times=np.array([0.5]), horizon=1.0)]
         st.events = np.array([0.5])
         st.seq_slices = [slice(0, 1)]
         st.pg = np.ones(1)
@@ -145,7 +145,6 @@ class TestUpdatePg:
 
     def test_mean_three_var_four(self):
         st = saturated_kernel_state(3.0, 4.0, 2.0)
-        st.train_seqs = [EventSequence(times=np.array([0.5]), horizon=1.0)]
         st.events = np.array([0.5])
         st.seq_slices = [slice(0, 1)]
         st.pg = np.ones(1)
@@ -217,7 +216,6 @@ class TestUpdateInducing:
     def test_no_data_returns_prior(self):
         rng = np.random.default_rng(6)
         st = make_state(rng, nu=0.4)
-        st.train_seqs = []
         st.events = np.empty(0)
         st.seq_slices = []
         st.pg = np.empty(0)
@@ -231,7 +229,6 @@ class TestUpdateInducing:
 
     def test_single_event_scalar_closed_form(self):
         st = saturated_kernel_state(0.0, 1.0, 2.0)
-        st.train_seqs = [EventSequence(times=np.array([0.5]), horizon=1.0)]
         st.events = np.array([0.5])
         st.seq_slices = [slice(0, 1)]
         st.pg = np.array([0.9])
@@ -267,7 +264,6 @@ class TestUpdateScale:
 
     def test_pure_latent_mass(self):
         st = saturated_kernel_state(0.0, 1.0, 1.0)
-        st.train_seqs = [EventSequence(times=np.empty(0), horizon=1.0)]
         st.events = np.empty(0)
         st.seq_slices = [slice(0, 0)]
         st.latent_rate = np.full(st.grid.size, 5.0)  # integral = 5
@@ -501,7 +497,6 @@ class TestObjectiveGradient:
         # mean must vanish.
         rng = np.random.default_rng(13)
         st = make_state(rng, nu=0.0)
-        st.train_seqs = [EventSequence(times=np.empty(0), horizon=1.0)]
         st.events = np.empty(0)
         st.seq_slices = [slice(0, 0)]
         st.pg = np.empty(0)
@@ -622,15 +617,15 @@ class TestTestLoglik:
     def test_saturated_intensity(self):
         st = saturated_kernel_state(60.0, 1e-12, m=7.0)
         seqs = [EventSequence(times=np.array([0.2, 0.5, 0.9]), horizon=1.0)]
-        got = cl.test_loglik(st, seqs, (0.0, 1.0), n_quad=200)
+        got = cl.test_loglik(st, seqs, (0.0, 1.0))
         assert got == pytest.approx(3 * math.log(7.0) - 7.0, rel=1e-9)
 
     def test_zero_events_is_negative_integral(self):
         rng = np.random.default_rng(21)
         st = make_state(rng)
         seqs = [EventSequence(times=np.empty(0), horizon=1.0)]
-        got = cl.test_loglik(st, seqs, (0.0, 1.0), n_quad=400)
-        grid = np.linspace(0.0, 1.0, 400)
+        got = cl.test_loglik(st, seqs, (0.0, 1.0))
+        grid = np.linspace(0.0, 1.0, cl.HELDOUT_QUAD_NODES)
         lam = cl.intensity(st, grid)
         assert got == pytest.approx(-np.trapezoid(lam, grid), rel=1e-12)
         assert got <= 0
@@ -667,14 +662,14 @@ class TestTestLoglik:
                 EventSequence(times=np.sort(rng.uniform(0.2, 0.9, n)), horizon=1.0)
                 for n in (3, 0, 7, 1, 4)
             ]
-            grid = np.linspace(0.2, 0.9, 150)
+            grid = np.linspace(0.2, 0.9, cl.HELDOUT_QUAD_NODES)
             integral = float(np.trapezoid(cl.intensity(st, grid), grid))
             total = 0.0
             for seq in seqs:
                 if seq.times.size:
                     total += float(np.sum(np.log(cl.intensity(st, seq.times))))
                 total -= integral
-            got = cl.test_loglik(st, seqs, (0.2, 0.9), n_quad=150)
+            got = cl.test_loglik(st, seqs, (0.2, 0.9))
             assert got == pytest.approx(total / len(seqs), rel=1e-12)
 
     def test_later_sequence_outside_interval_rejected(self):
@@ -700,17 +695,26 @@ class TestInitClient:
         rng = np.random.default_rng(25)
         seqs = [
             EventSequence(times=np.sort(rng.uniform(0, 1, 6)), horizon=1.0),
+            EventSequence(times=np.empty(0), horizon=1.0),
             EventSequence(times=np.sort(rng.uniform(0, 1, 4)), horizon=1.0),
         ]
         theta = random_theta(rng)
         grid = trapezoid_grid(1.0, 11)
         z = np.linspace(0.1, 0.9, 3)
-        st = cl.init_client(4, seqs, theta, SPEC, z, grid)
-        assert st.m == pytest.approx(2 * 10 / (2 * 1.0))
+        gram = kernel_matrix(z, z, theta.mean, SPEC)
+        st = cl.init_client(4, seqs, theta, SPEC, z, grid, gram, 2)
+        assert st.m == pytest.approx(2 * 10 / (3 * 1.0))
         np.testing.assert_array_equal(st.phi.mean, theta.mean)
-        np.testing.assert_allclose(
-            st.q_u.cov, kernel_matrix(z, z, theta.mean, SPEC), rtol=1e-12
-        )
+        assert st.q_u.cov is gram
+        np.testing.assert_array_equal(st.q_u.mean, np.zeros(3))
+        assert st.nu == 0.0
+        assert st.n_w_samples == 2
         np.testing.assert_array_equal(st.pg, np.ones(10))
         np.testing.assert_allclose(st.latent_rate, st.m / 2)
-        assert st.events.size == 10
+        # The sequences are held once: flat events and one slice each.
+        assert st.n_seqs == 3
+        np.testing.assert_array_equal(
+            st.events, np.concatenate([seq.times for seq in seqs])
+        )
+        assert [s.stop - s.start for s in st.seq_slices] == [6, 0, 4]
+        assert not hasattr(st, "train_seqs")

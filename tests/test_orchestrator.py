@@ -64,6 +64,8 @@ def states_equal(a, b):
         and np.array_equal(a.q_u.mean, b.q_u.mean)
         and np.array_equal(a.q_u.cov, b.q_u.cov)
         and a.m == b.m
+        and np.array_equal(a.events, b.events)
+        and a.seq_slices == b.seq_slices
     )
 
 
@@ -353,11 +355,40 @@ class TestBuildClients:
         config = tiny_config(n_clients=3)
         server, clients = build_clients(config, data, 1.0)
         for cid, c in enumerate(clients):
-            fresh = cl.init_client(cid, data[cid], server.theta, c.spec,
-                                   c.q_u.locations, c.grid,
-                                   n_w_samples=config.n_w_samples)
+            z = c.q_u.locations
+            gram = kernel_matrix(z, z, server.theta.mean, c.spec)
+            fresh = cl.init_client(cid, data[cid], server.theta, c.spec, z,
+                                   c.grid, gram, config.n_w_samples)
             assert states_equal(c, fresh)
             assert c.q_u.cov.tobytes() == fresh.q_u.cov.tobytes()
+
+    def test_clone_equals_and_shares_no_array(self):
+        rng = np.random.default_rng(17)
+        _, clients = build_clients(tiny_config(n_clients=3),
+                                   tiny_dataset(rng, 3), 1.0)
+
+        def arrays(st):
+            return [st.events, st.pg, st.latent_rate, st.latent_c,
+                    st.phi.mean, st.phi.var, st.q_u.locations, st.q_u.mean,
+                    st.q_u.cov, st.grid.nodes, st.grid.weights]
+
+        for c in clients:
+            clone = cl.clone_state(c)
+            assert states_equal(clone, c)
+            assert clone.n_seqs == c.n_seqs == 2
+            for a, b in zip(arrays(clone), arrays(c)):
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("empty", [[1], [0, 2]])
+    def test_client_without_training_sequences_rejected(self, empty):
+        rng = np.random.default_rng(18)
+        data = tiny_dataset(rng, 3)
+        for cid in empty:
+            data[cid] = []
+        names = ", ".join(map(str, empty))
+        with pytest.raises(ValueError,
+                           match=f"no training sequences for client {names}$"):
+            run_training(tiny_config(n_clients=3), data, 1.0)
 
 
 class TestPrivacyBoundary:
