@@ -16,7 +16,6 @@ from .aggregation import (
 from .client import (
     ClientState,
     InducingPosterior,
-    augmented_elbo,
     client_update,
     derive_seed,
     draw_w_samples,

@@ -49,7 +49,6 @@ __all__ = [
     "update_latent_pp",
     "update_inducing",
     "update_scale",
-    "augmented_elbo",
     "elbo",
     "local_objective",
     "local_objective_grad",
@@ -211,12 +210,12 @@ class _InducingBlocks:
 
 
 class _SampleCache:
-    """Kernel blocks at ``times`` for one sample, with f's moments there.
+    """Kernel blocks at ``times`` for one kernel-parameter sample.
 
-    ``z`` holds the sample's inducing-point blocks; the rest is built here
-    for the given evaluation times.  With ``moments=False`` only the blocks
-    that :func:`update_inducing` reads are built (``k_tz``, ``beta`` and
-    ``alpha``), not ``beta_cov``, ``mean`` or ``var``.
+    ``z`` holds the sample's inducing-point blocks; built here are always
+    ``tape_t``, ``d2_tz``, ``k_tz``, ``beta`` (rows Kzz^-1 k_t) and
+    ``alpha`` (Kzz^-1 (mu_u - nu)).  Readers form what they need of f's
+    moments: :func:`_sample_moments` both, :func:`_sample_grad` the mean.
 
     Each instance holds several (times x inducing) blocks, so callers pass
     it straight into a function (:func:`_sample_moments`,
@@ -238,20 +237,16 @@ class _SampleCache:
     float identical or be treated as a change of results.
     """
 
-    __slots__ = (
-        "z", "k_tz", "d2_tz", "tape_t", "beta", "beta_cov", "alpha", "mean",
-        "var",
-    )
+    __slots__ = ("z", "tape_t", "d2_tz", "k_tz", "beta", "alpha")
 
     def __init__(self, state: ClientState, z: _InducingBlocks,
-                 times: np.ndarray, moments: bool = True):
+                 times: np.ndarray):
         self.z = z
         self.tape_t = dk.embed_with_tape(times, z.params, state.spec)
         h_t = self.tape_t.out
         ell2 = z.params.length_scale ** 2
-        r = z.params.r
         self.d2_tz = dk._sqdist(h_t, z.h_z)
-        self.k_tz = r * np.exp(-0.5 * self.d2_tz / ell2)
+        self.k_tz = z.params.r * np.exp(-0.5 * self.d2_tz / ell2)
         # One batched triangular solve covers beta and alpha.
         rhs = np.concatenate(
             [self.k_tz.T, (state.q_u.mean - state.nu)[:, None]], axis=1
@@ -260,13 +255,6 @@ class _SampleCache:
         del rhs
         self.beta = solved[:, :-1].T  # rows: Kzz^-1 k_t
         self.alpha = solved[:, -1]
-        if not moments:
-            return
-        self.mean = state.nu + self.k_tz @ self.alpha
-        explained = np.sum(self.k_tz * self.beta, axis=1)
-        self.beta_cov = self.beta @ state.q_u.cov
-        smoothed = np.sum(self.beta_cov * self.beta, axis=1)
-        self.var = r - explained + smoothed
 
 
 def _inducing_blocks(state, w):
@@ -275,17 +263,20 @@ def _inducing_blocks(state, w):
     return [_InducingBlocks(state, row) for row in w]
 
 
-def _sample_moments(c):
+def _sample_moments(state, c):
     """One sample's first and second moments of f at its cache's times."""
-    return c.mean, c.var + c.mean**2
+    mean = state.nu + c.k_tz @ c.alpha
+    explained = np.sum(c.k_tz * c.beta, axis=1)
+    beta_cov = c.beta @ state.q_u.cov
+    smoothed = np.sum(beta_cov * c.beta, axis=1)
+    var = c.z.params.r - explained + smoothed
+    return mean, var + mean**2
 
 
-def _mixture_moments(state, w, times, blocks=None):
-    """First and second moments of f averaged over the kernel samples."""
-    if blocks is None:
-        blocks = _inducing_blocks(state, w)
+def _mixture_moments(state, blocks, times):
+    """First and second moments of f averaged over the samples' blocks."""
     means, seconds = zip(*(
-        _sample_moments(_SampleCache(state, z, times)) for z in blocks
+        _sample_moments(state, _SampleCache(state, z, times)) for z in blocks
     ))
     return np.stack(means).mean(axis=0), np.stack(seconds).mean(axis=0)
 
@@ -298,7 +289,7 @@ def posterior_f_moments(state: ClientState | PredictiveState, w, times):
     Variances are clamped to at least 1e-12.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    ef, ef2 = _mixture_moments(state, w, times)
+    ef, ef2 = _mixture_moments(state, _inducing_blocks(state, w), times)
     var = ef2 - ef**2
     if np.any(var < -1e-8):
         log.warning("posterior variance fell below -1e-8; clamping")
@@ -313,7 +304,9 @@ def update_pg(state: ClientState, w, blocks=None) -> np.ndarray:
     does; results are bit-identical either way.
     """
     if state.events.size:
-        _, ef2 = _mixture_moments(state, w, state.events, blocks)
+        if blocks is None:
+            blocks = _inducing_blocks(state, w)
+        _, ef2 = _mixture_moments(state, blocks, state.events)
         state.pg = np.sqrt(np.maximum(ef2, 0.0))
     return state.pg
 
@@ -325,7 +318,9 @@ def update_latent_pp(state: ClientState, w, blocks=None) -> np.ndarray:
     exponent is clamped to +-60 and clamping is recorded in diagnostics.
     ``blocks`` is as in :func:`update_pg`.
     """
-    ef, ef2 = _mixture_moments(state, w, state.grid.nodes, blocks)
+    if blocks is None:
+        blocks = _inducing_blocks(state, w)
+    ef, ef2 = _mixture_moments(state, blocks, state.grid.nodes)
     state.latent_c = np.sqrt(np.maximum(ef2, 0.0))
     log_rate = math.log(state.m) - 0.5 * ef - log_2cosh(0.5 * state.latent_c)
     clipped = np.abs(log_rate) > _LOG_RATE_CLAMP
@@ -345,7 +340,7 @@ def _ab_coefficients(state: ClientState):
     quadrature weights and the sequence count (one latent process per
     training sequence).  Event sums and grid integrals never mix.
     """
-    a_ev = pg_mean(state.pg) if state.events.size else np.empty(0)
+    a_ev = pg_mean(state.pg)
     b_ev = np.full(state.events.size, 0.5)
     lam_w = state.n_seqs * state.grid.weights * state.latent_rate
     a_gr = lam_w * pg_mean(state.latent_c)
@@ -371,9 +366,7 @@ def update_inducing(state: ClientState, w, blocks=None) -> InducingPosterior:
     precision = np.zeros((m_ind, m_ind))
     linear = np.zeros(m_ind)
     for z in blocks:
-        terms = _natural_terms(
-            state, _SampleCache(state, z, times, moments=False), a_all, b_all
-        )
+        terms = _natural_terms(state, _SampleCache(state, z, times), a_all, b_all)
         precision += terms[0]
         linear += terms[1]
     precision /= len(blocks)
@@ -430,11 +423,6 @@ def _tilted_terms(m, sign, ef, ef2, c):
     )
 
 
-def _event_terms(state, ef, ef2, idx):
-    """Per-event augmented-likelihood terms at the current tilting."""
-    return _tilted_terms(state.m, 1.0, ef, ef2, state.pg[idx])
-
-
 def _grid_term(state, ef, ef2):
     """Integrated latent-process terms, counted once per sequence."""
     lam = state.latent_rate
@@ -473,10 +461,10 @@ def _kl_inducing(state, blocks) -> float:
 def _batch_events(state, batch):
     """Event indices, event-term scale and evaluation times of a mini-batch.
 
-    ``batch`` is a list of training-sequence indices; its event terms are
-    scaled by n_seqs / |batch| so the estimator stays unbiased.  ``None``
-    means every event at scale 1.  The times are the batch's events
-    followed by the grid nodes.
+    ``batch`` is a nonempty list of training-sequence indices; their event
+    terms are scaled by n_seqs / |batch| so the estimator stays unbiased.
+    ``None`` means every event at scale 1.  The times are the events, in
+    batch order, then the grid nodes, whose rows start at ``idx.size``.
     """
     if batch is None:
         idx, scale = np.arange(state.events.size), 1.0
@@ -492,27 +480,6 @@ def _batch_events(state, batch):
     return idx, scale, np.concatenate([state.events[idx], state.grid.nodes])
 
 
-def augmented_elbo(state: ClientState, w, batch=None) -> float:
-    """Bound terms that depend on the augmented model, for given w samples.
-
-    Expected augmented log-likelihood minus KL(q(u) || p(u|w)), averaged
-    over the rows of ``w``.  Excludes the kernel-parameter divergence.
-    ``batch`` selects and rescales the event terms (see
-    :func:`_batch_events`); the integral and inducing-KL terms keep full
-    weight.
-    """
-    idx, scale, times = _batch_events(state, batch)
-    blocks = _inducing_blocks(state, w)
-    ef, ef2 = _mixture_moments(state, w, times, blocks)
-    n_ev = idx.size
-    value = scale * float(np.sum(_event_terms(state, ef[:n_ev], ef2[:n_ev], idx)))
-    value += _grid_term(state, ef[n_ev:], ef2[n_ev:])
-    value -= _kl_inducing(state, blocks)
-    if not np.isfinite(value):
-        raise FloatingPointError("augmented bound is not finite")
-    return value
-
-
 def elbo(state: ClientState, theta: DiagGaussian, n_w_samples: int,
          noise_seed: int) -> float:
     """Evidence lower bound with the kernel-parameter divergence included.
@@ -523,19 +490,32 @@ def elbo(state: ClientState, theta: DiagGaussian, n_w_samples: int,
     return -local_objective(state, theta, None, n_w_samples, noise_seed)
 
 
-def local_objective(state: ClientState, theta: DiagGaussian, batch=None,
-                    n_w_samples: int = 1, noise_seed: int = 0) -> float:
-    """Negative sampled bound, with event terms rescaled to a mini-batch.
+def local_objective(state: ClientState, theta: DiagGaussian, batch,
+                    n_w_samples: int, noise_seed: int) -> float:
+    """Negative sampled bound; the one body of the client's objective.
 
-    ``batch`` is as in :func:`augmented_elbo`; the prior-divergence term
-    keeps full weight.  With ``batch=None`` this is ``-elbo``.
+    Expected augmented log-likelihood minus KL(q(u) || p(u|w)), averaged
+    over ``n_w_samples`` draws of w from phi, minus KL(phi || theta).
+    ``batch`` selects and rescales the event terms (see
+    :func:`_batch_events`); the other terms keep full weight.
     """
+    idx, scale, times = _batch_events(state, batch)
     w = draw_w_samples(state.phi, n_w_samples, noise_seed)
-    return -(augmented_elbo(state, w, batch) - kl_diag(state.phi, theta))
+    blocks = _inducing_blocks(state, w)
+    ef, ef2 = _mixture_moments(state, blocks, times)
+    n_ev = idx.size
+    value = scale * float(np.sum(_tilted_terms(
+        state.m, 1.0, ef[:n_ev], ef2[:n_ev], state.pg[idx]
+    )))
+    value += _grid_term(state, ef[n_ev:], ef2[n_ev:])
+    value -= _kl_inducing(state, blocks)
+    if not np.isfinite(value):
+        raise FloatingPointError("augmented bound is not finite")
+    return -(value - kl_diag(state.phi, theta))
 
 
-def local_objective_grad(state: ClientState, theta: DiagGaussian, batch=None,
-                         n_w_samples: int = 1, noise_seed: int = 0):
+def local_objective_grad(state: ClientState, theta: DiagGaussian, batch,
+                         n_w_samples: int, noise_seed: int):
     """Gradient of :func:`local_objective` w.r.t. (mean, log variance).
 
     Uses the same reparameterized samples as the objective (common random
@@ -578,8 +558,9 @@ def _sample_grad(state, c, a_t, b_t) -> np.ndarray:
     ``a_t``/``b_t`` are the linear coefficients of E[f] and -E[f^2]/2 there.
     """
     beta = c.beta
-    gamma = solve_with(c.z.factor, c.beta_cov.T).T
-    u_t = a_t - b_t * c.mean
+    mean = state.nu + c.k_tz @ c.alpha
+    gamma = solve_with(c.z.factor, (beta @ state.q_u.cov).T).T
+    u_t = a_t - b_t * mean
     d_k_tz = u_t[:, None] * c.alpha[None, :] + b_t[:, None] * (beta - gamma)
     coeff_tt = -0.5 * float(np.sum(b_t))
     kzz_inv = c.z.kzz_inv
@@ -711,10 +692,13 @@ def init_client(client_id: int, train_seqs, theta: DiagGaussian,
     mean; it becomes the q(u) covariance without a copy, so each client
     needs its own.  The initial scale is twice the empirical event rate;
     the latent rate starts at the corresponding zero-function value m/2.
+    ValueError names a client without training sequences (no event rate).
     """
+    if len(train_seqs) == 0:
+        raise ValueError(f"no training sequences for client {client_id}")
     z = np.asarray(inducing_locations, dtype=np.float64)
     n_events = sum(len(s) for s in train_seqs)
-    rate = n_events / (max(len(train_seqs), 1) * grid.horizon)
+    rate = n_events / (len(train_seqs) * grid.horizon)
     m0 = 2.0 * rate if rate > 0 else 1.0 / grid.horizon
     return ClientState(
         id=client_id,

@@ -49,6 +49,29 @@ SPLIT_BOUNDARIES = (
 GROUND_TRUTH_GRID = 512
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _integer_marks(marks) -> np.ndarray:
+    """``marks`` as int64, or ValueError unless every one is an integer.
+
+    Integral floats in int64's range pass (NaN and infinities fail the
+    comparison); bools never do, even in a list that numpy reads as ints.
+    """
+    arr = np.asarray(marks)
+    kind = arr.dtype.kind
+    if kind == "f":
+        ok = bool(((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))).all())
+    else:  # every signed width, and unsigned below 64 bits, fits int64
+        ok = (kind == "i" or kind == "u" and arr.itemsize < 8) and (
+            isinstance(marks, np.ndarray) or arr.ndim != 1
+            or _BOOL_TYPES.isdisjoint(map(type, marks))
+        )
+    if not ok:
+        raise ValueError("marks must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class EventSequence:
     """Sorted event times on [0, horizon], with optional integer type marks.
@@ -83,7 +106,7 @@ class EventSequence:
             if not (times[0] >= 0 and times[-1] <= self.horizon):
                 raise ValueError("times must be finite and lie within [0, horizon]")
         if self.marks is not None:
-            marks = np.asarray(self.marks, dtype=np.int64)
+            marks = _integer_marks(self.marks)
             object.__setattr__(self, "marks", marks)
             if marks.shape != times.shape:
                 raise ValueError("marks must have the same length as times")
@@ -327,6 +350,9 @@ def load_jsonl(path) -> list[EventSequence]:
                 if not times:
                     raise ValueError(f"empty sequence without horizon at line {lineno}")
                 horizon = times[-1]
+            # No bool passed the check above, so EventSequence is handed an
+            # array and skips its own scan of the list for bools.
+            marks = None if marks is None else np.asarray(marks)
             try:
                 seqs.append(EventSequence(times=times, horizon=horizon, marks=marks))
             except (TypeError, ValueError, OverflowError) as exc:

@@ -1,5 +1,6 @@
 """Client-side inference tests: moments, coordinate updates, bound, gradients."""
 import copy
+import hashlib
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from scipy.special import expit
 import fedcox.client as cl
 from fedcox.dataio import EventSequence
 from fedcox.kernel import EncoderSpec, kernel_matrix
-from fedcox.numerics import DiagGaussian, solve_with, trapezoid_grid
+from fedcox.numerics import DiagGaussian, kl_diag, solve_with, trapezoid_grid
 
 SPEC = EncoderSpec(hidden_dim=2, output_dim=2, t_norm=1.0)
 DIM = SPEC.n_params
@@ -363,13 +364,15 @@ def reference_elbo(state, theta, noise_seed):
 
 class TestElbo:
     def test_divergence_term_vanishes_at_broadcast(self):
+        # The bound depends on theta only through -KL(phi || theta), which
+        # is zero at theta = phi.
         rng = np.random.default_rng(10)
         st = make_state(rng)
-        theta = DiagGaussian(st.phi.mean.copy(), st.phi.var.copy())
-        with_term = cl.elbo(st, theta, 2, 123)
-        w = cl.draw_w_samples(st.phi, 2, 123)
-        without = cl.augmented_elbo(st, w)
-        assert with_term == pytest.approx(without, rel=1e-12)
+        theta = random_theta(rng)
+        at_phi = DiagGaussian(st.phi.mean.copy(), st.phi.var.copy())
+        assert kl_diag(st.phi, theta) > 1.0
+        assert (cl.elbo(st, theta, 2, 123) + kl_diag(st.phi, theta)
+                == pytest.approx(cl.elbo(st, at_phi, 2, 123), rel=1e-12))
 
     def test_matches_straight_line_reference(self):
         # Micro instance: 1 event, M = 2, Q = 5, one w sample.
@@ -603,6 +606,36 @@ class TestClientUpdate:
         cl.client_update(st, theta, 3, 1, 0.05, seed=5)
         assert np.all(st.phi.var > 0)
 
+    # (seed, n_w_samples, batch_size) -> SHA-256 of phi, q(u) and m after
+    # one two-epoch update, and float.hex of the bound after it.  Training
+    # amplifies last-bit changes, so a rewrite of the bound, its gradient
+    # or the sweep that moves any float is a change of results.
+    PINS = {
+        (7001, 1, 2): (
+            "ddabbc08245004e137cff9936e3cae7b3169523688686a90be0c8593d082921a",
+            "-0x1.e13bf74e23cb3p+8",
+        ),
+        (7002, 3, 99): (
+            "85e48bafd0eca07aaea25712155317e15d835ce43fd46809e42a9d6ccf533cbc",
+            "-0x1.6d9daef288289p+10",
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINS), ids=["S1-minibatch", "S3-full"])
+    def test_floats_pinned(self, key):
+        seed, n_samples, batch_size = key
+        rng = np.random.default_rng(seed)
+        st = make_state(rng, n_seqs=5, max_events=6, n_inducing=5, n_grid=21)
+        st.n_w_samples = n_samples
+        theta = random_theta(rng)
+        cl.client_update(st, theta, 2, batch_size, 0.02, seed=11)
+        parts = (st.phi.mean, st.phi.var, st.q_u.mean, st.q_u.cov,
+                 np.float64(st.m))
+        digest = hashlib.sha256(
+            b"".join(np.asarray(p).tobytes() for p in parts)
+        ).hexdigest()
+        assert (digest, cl.elbo(st, theta, n_samples, 13).hex()) == self.PINS[key]
+
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(20)
         st = make_state(rng)
@@ -718,3 +751,12 @@ class TestInitClient:
         )
         assert [s.stop - s.start for s in st.seq_slices] == [6, 0, 4]
         assert not hasattr(st, "train_seqs")
+
+    def test_rejects_no_sequences(self):
+        # With no sequences there is no event rate, and update_scale would
+        # divide by zero in the first client_update.
+        theta = random_theta(np.random.default_rng(27))
+        z = np.linspace(0.1, 0.9, 3)
+        gram = kernel_matrix(z, z, theta.mean, SPEC)
+        with pytest.raises(ValueError, match="no training sequences for client 5"):
+            cl.init_client(5, [], theta, SPEC, z, trapezoid_grid(1.0, 11), gram, 2)

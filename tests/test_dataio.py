@@ -47,6 +47,24 @@ class TestEventSequence:
             EventSequence(times=np.array([0.1, 0.2]), horizon=1.0,
                           marks=np.array([1]))
 
+    @pytest.mark.parametrize("bad", [
+        [1.5, 2.0], [True, 0], ["1", "2"], np.array([True, False]),
+        [math.nan, 1.0], [math.inf, 1.0], [1e30, 1.0],
+        np.array([2**63], dtype=np.uint64)[[0, 0]],
+    ], ids=["fractional", "bool-in-ints", "strings", "bool-array", "nan",
+            "inf", "past-int64", "uint64-past-int64"])
+    def test_rejects_non_integer_marks(self, bad):
+        with pytest.raises(ValueError, match="marks must be integers"):
+            EventSequence(times=np.array([0.1, 0.2]), horizon=1.0, marks=bad)
+
+    @pytest.mark.parametrize("good", [
+        [1, 2], [1.0, 2.0], np.array([1, 2], dtype=np.uint8),
+    ], ids=["ints", "integral-floats", "uint8"])
+    def test_integer_marks_stored_as_int64(self, good):
+        seq = EventSequence(times=np.array([0.1, 0.2]), horizon=1.0, marks=good)
+        assert seq.marks.dtype == np.int64
+        np.testing.assert_array_equal(seq.marks, [1, 2])
+
 
 # Times that only the trusted path could let through.
 BAD_TIMES = {
