@@ -22,7 +22,6 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.special import expit, roots_hermite
 
 from . import kernel as dk
 from .kernel import EncoderSpec, KernelParams
@@ -31,6 +30,7 @@ from .numerics import (
     QuadratureGrid,
     chol_factor_jittered,
     chol_logdet,
+    expit,
     kl_diag,
     log_2cosh,
     pg_mean,
@@ -65,9 +65,26 @@ _LOG_RATE_CLAMP = 60.0
 
 GAUSS_HERMITE_ORDER = 20
 # Gauss-Hermite rule: for f ~ N(mean, var), E[g(f)] is about
-# sum(_GH_WEIGHTS * g(mean + sqrt(2 var) * _GH_NODES)).
-_GH_NODES, _GH_WEIGHTS = roots_hermite(GAUSS_HERMITE_ORDER)
-_GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
+# sum(_GH_WEIGHTS * g(mean + sqrt(2 var) * _GH_NODES)).  The nodes and
+# weights are scipy.special.roots_hermite(20)'s output, bit for bit.
+_GH_NODES = np.array([float.fromhex(h) for h in (
+    "-0x1.58cc7ca59b160p+2", "-0x1.26a2bbb67f55ep+2", "-0x1.f8ee072f5de16p+1",
+    "-0x1.ac867f9b566b1p+1", "-0x1.64f798cfeaf13p+1", "-0x1.20a2fcf426decp+1",
+    "-0x1.bd10ceb867454p+0", "-0x1.3bec6b39e4f50p+0", "-0x1.7996281385f71p-1",
+    "-0x1.f67530743d202p-3", "0x1.f67530743d202p-3", "0x1.7996281385f71p-1",
+    "0x1.3bec6b39e4f50p+0", "0x1.bd10ceb867454p+0", "0x1.20a2fcf426decp+1",
+    "0x1.64f798cfeaf13p+1", "0x1.ac867f9b566b1p+1", "0x1.f8ee072f5de16p+1",
+    "0x1.26a2bbb67f55ep+2", "0x1.58cc7ca59b160p+2",
+)])
+_GH_WEIGHTS = np.array([float.fromhex(h) for h in (
+    "0x1.f603cb3708c51p-43", "0x1.e3b670b9be7c0p-32", "0x1.d2769715977edp-24",
+    "0x1.05cf732628219p-17", "0x1.dedc5f2bdb14ap-13", "0x1.a92af8d75213bp-9",
+    "0x1.967eddf3bc837p-6", "0x1.be88d368eaad6p-4", "0x1.258e438063fd2p-2",
+    "0x1.d956678ededfdp-2", "0x1.d956678ededfdp-2", "0x1.258e438063fd2p-2",
+    "0x1.be88d368eaad6p-4", "0x1.967eddf3bc837p-6", "0x1.a92af8d75213bp-9",
+    "0x1.dedc5f2bdb14ap-13", "0x1.05cf732628219p-17", "0x1.d2769715977edp-24",
+    "0x1.e3b670b9be7c0p-32", "0x1.f603cb3708c51p-43",
+)]) / math.sqrt(math.pi)
 
 # Trapezoid nodes of the integrated intensity in held-out scores.
 HELDOUT_QUAD_NODES = 200

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .numerics import (
     check_setting,
     chol_factor_jittered,
+    expit,
     half_solve_with,
     solve_with,
 )

@@ -1,10 +1,10 @@
 """Foundational numerics shared by every other module.
 
 Diagonal-Gaussian algebra and divergences, Polya-Gamma first moments,
-jittered Cholesky factorization for positive-definite kernel matrices,
-trapezoid quadrature on a time interval, and the type rule of every run
-setting.  Everything here is a pure function of its inputs and safe to
-share across workers.
+the logistic sigmoid, jittered Cholesky factorization for positive-definite
+kernel matrices, trapezoid quadrature on a time interval, and the type rule
+of every run setting.  Everything here is a pure function of its inputs and
+safe to share across workers.
 """
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+from . import _lapack
 
 __all__ = [
     "DiagGaussian",
@@ -24,6 +25,7 @@ __all__ = [
     "mmd_rbf",
     "pg_mean",
     "log_2cosh",
+    "expit",
     "chol_factor_jittered",
     "chol_logdet",
     "trapezoid_grid",
@@ -180,6 +182,18 @@ def log_2cosh(x):
     return np.logaddexp(x, -x)
 
 
+def expit(x):
+    """Logistic sigmoid ``1 / (1 + exp(-x))``, elementwise.
+
+    scipy.special.expit's own formula.  Where ``exp(-x)`` overflows (x below
+    about -709) the result is exactly 0 and no warning is raised.  numpy's
+    vectorized ``exp`` may differ from the C library's in the last bits, so
+    results can differ from scipy's by a few ulp.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
 def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
                          baseline: bool = False):
     """Cholesky-factorize ``a``, adding escalating diagonal jitter on failure.
@@ -200,7 +214,8 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
     the jitter added to that copy's diagonal, so one copy is alive at a
     time and ``a`` itself is never written.  The clean rung factors ``a``'s
     entries as they are (a ``-0.0`` stays ``-0.0``), bit for bit as
-    ``scipy.linalg.cho_factor(a, lower=True)``.
+    ``scipy.linalg.cho_factor(a, lower=True)``: both make one LAPACK
+    ``dpotrf`` call in the library scipy ships (see :mod:`fedcox._lapack`).
     """
     a = np.asarray(a, dtype=np.float64)
     scale = float(np.mean(np.diag(a)))
@@ -212,9 +227,9 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
         if jitter:
             # The diagonal of c, through a flat view (reshape(-1) copies).
             c.reshape(-1, order="F")[::c.shape[0] + 1] += jitter
-        # scipy's cho_factor(lower=True) makes this call, so the factor is
-        # bit-identical; its upper triangle is left as the input had it.
-        c, info = dpotrf(c, lower=True, clean=False, overwrite_a=True)
+        # LAPACK dpotrf in scipy's library, in place; the upper triangle is
+        # left as the input had it.
+        c, info = _lapack.dpotrf(c, lower=True)
         if info == 0:
             # OpenBLAS reports success on non-finite input; any NaN or inf
             # in the triangle it reads reaches the factor's diagonal.
@@ -243,14 +258,15 @@ def solve_with(factor, b):
     """Solve with an existing factor (saves refactorizing in inner loops).
 
     ``factor`` is ``(c, lower)`` as :func:`chol_factor_jittered` returns it;
-    ``b`` is 1-D or 2-D.  Bit-identical to ``scipy.linalg.cho_solve``, whose
-    LAPACK ``dpotrs`` call this makes without the wrapper around it.
+    ``b`` is 1-D or 2-D.  One LAPACK ``dpotrs`` call in the library scipy
+    ships, so bit-identical to ``scipy.linalg.cho_solve``, which makes the
+    same call.  The result is a new Fortran-ordered array.
     """
     c, lower = factor
     b = np.asarray(b, dtype=np.float64)
     if b.size == 0:
         return np.empty_like(b)
-    x, info = dpotrs(c, b, lower=lower)
+    x, info = _lapack.dpotrs(c, b, lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
@@ -262,16 +278,16 @@ def half_solve_with(factor, b):
     ``factor`` is ``(c, lower)`` as for :func:`solve_with`; with an upper
     factor ``U`` (``K = U^T U``), ``L`` is ``U^T``.  Column by column,
     ``||L^-1 b||^2`` is the diagonal of ``b^T K^-1 b``, which takes half the
-    work of :func:`solve_with`'s two sweeps.  One LAPACK ``dtrtrs`` call.
-    A Fortran-ordered float64 ``b`` is consumed: the result is written into
-    it and no copy is made.  Any other ``b`` is copied and left unchanged.
+    work of :func:`solve_with`'s two sweeps.  One LAPACK ``dtrtrs`` call in
+    the library scipy ships.  A writeable, Fortran-ordered float64 ``b`` is
+    consumed: the result is written into it and no copy is made.  Any other
+    ``b`` is copied and left unchanged.
     """
     c, lower = factor
     b = np.asarray(b, dtype=np.float64)
     if b.size == 0:
         return np.empty_like(b)
-    x, info = dtrtrs(c, b, lower=lower, trans=0 if lower else 1,
-                     overwrite_b=True)
+    x, info = _lapack.dtrtrs(c, b, lower, trans=0 if lower else 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     if info > 0:

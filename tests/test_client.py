@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, roots_hermite
 
 import fedcox.client as cl
 from fedcox.dataio import EventSequence
@@ -760,3 +760,9 @@ class TestInitClient:
         gram = kernel_matrix(z, z, theta.mean, SPEC)
         with pytest.raises(ValueError, match="no training sequences for client 5"):
             cl.init_client(5, [], theta, SPEC, z, trapezoid_grid(1.0, 11), gram, 2)
+
+
+def test_gauss_hermite_table_is_scipys():
+    nodes, weights = roots_hermite(cl.GAUSS_HERMITE_ORDER)
+    assert cl._GH_NODES.tobytes() == nodes.tobytes()
+    assert cl._GH_WEIGHTS.tobytes() == (weights / math.sqrt(math.pi)).tobytes()

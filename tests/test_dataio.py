@@ -313,43 +313,56 @@ class TestSimulateClient:
         assert kernel.gram(a, b).tobytes() == want.tobytes()
 
 
-def draw_digest(seqs, truth):
-    """SHA-256 of each sequence's length and times, then grid and intensity."""
+def draw_digest(seqs, truth, intensity=True):
+    """SHA-256 of each sequence's length and times, the grid, then intensity."""
     h = hashlib.sha256()
     for seq in seqs:
         h.update(np.int64(len(seq)).tobytes())
         h.update(seq.times.tobytes())
-    grid, intensity = truth
+    grid, lam = truth
     h.update(grid.tobytes())
-    h.update(intensity.tobytes())
+    if intensity:
+        h.update(lam.tobytes())
     return h.hexdigest()
 
 
 class TestGeneratedDataPinned:
     """Simulated sequences and intensities are fixed bytes for each seed.
 
-    Recorded with a two-sweep solve for the conditional variance, so they
-    also show that the one-sweep form, which rounds differently, keeps
-    every draw.
+    Two digests per draw.  The first covers the sequences and the grid
+    only.  It was recorded with a two-sweep solve for the conditional
+    variance and scipy's ``expit``, and it has not changed since, so it
+    also shows that the one-sweep form and ``numerics.expit``, which both
+    round differently, keep every draw.  The second adds the ground-truth
+    intensity.  It was re-recorded when ``numerics.expit`` replaced scipy's:
+    numpy's vectorized ``exp`` moved 36 of the 2048 intensity entries here,
+    each by at most 2 ulp.
     """
 
-    @pytest.mark.parametrize("args, kwargs, want", [
+    @pytest.mark.parametrize("args, kwargs, events, full", [
         ((50.0, RbfSpec(1.5, 0.1), 1.0, 12, 3), {},
-         "415464117e55696199fb340feb9158de44432b71c3da12a69fec1f8d3e33fe18"),
+         "aeeba7b936468280122368c0a5127a1e5177e1129befd3f77719c11754610cc3",
+         "73fdfa9653abb122dce5adc09ad3aeb4528f088277c86036fc0dbc036f0226c7"),
         ((50.0, RbfSpec(2.0, 0.125), 1.0, 12, 4), {},
-         "b16032b6f6137d7ed7efe29364f6519b0d24bcf5688dbf76deeaa71c7b67d969"),
+         "88c9e04c4b3c71a7e779ee49e95e2deec75feb169410d3de6eed36fe09a3488a",
+         "b23ae57fce230654e9767c2f0a509104e2a7d195ecd2d6bad7d93276229c9ad7"),
         ((20.0, RbfSpec(1.5, 0.5), 7.5, 6, 5), {"nu": 0.3},
-         "7553bd830baf365c41cbf4f89cbb0ed770a37bc2d346d0f6516a977b453073ab"),
+         "ba2db4c832651f234eb3449e5b4e69cf672780783af05850dd9c7e1952845f43",
+         "694883e0630fbf0cb48402c82d27faf19e3f501f721d76a67fe83a0134d82f17"),
     ], ids=["criterion-8-a", "criterion-8-b", "nu-horizon-7.5"])
-    def test_simulate_client(self, args, kwargs, want):
+    def test_simulate_client(self, args, kwargs, events, full):
         seqs, truth = simulate_client(*args, **kwargs)
-        assert draw_digest(seqs, truth) == want
+        assert draw_digest(seqs, truth, intensity=False) == events
+        assert draw_digest(seqs, truth) == full
 
     def test_simulate_sgcp(self):
         seq, truth = simulate_sgcp(50.0, RbfSpec(1.5, 0.1), 1.0, 6)
         assert len(seq) == 31
+        assert draw_digest([seq], truth, intensity=False) == (
+            "3f16e3342703c8545c32bee1ba7a282dbd0a67f795ec8dd99f54148b7f57e253"
+        )
         assert draw_digest([seq], truth) == (
-            "a510c01a4a56ed7e3d2dd588590c90b371a2fbe4c9a48c8a9dcc64bfae13b20f"
+            "72fa16550256cbc229dbeb3652f61fa4e043456f2bd3f6a41a52ff60f2161aae"
         )
 
 

@@ -1,11 +1,14 @@
 """Oracle and property tests for the foundational numerics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtrs
+from scipy.special import expit as scipy_expit
 
 from fedcox.numerics import (
     DiagGaussian,
@@ -13,6 +16,7 @@ from fedcox.numerics import (
     QuadratureGrid,
     check_setting,
     chol_factor_jittered,
+    expit,
     half_solve_with,
     kl_diag,
     mmd_rbf,
@@ -315,6 +319,22 @@ class TestCholSolve:
                 got = solve_with(factor, b)
                 ref = cho_solve(factor, b, check_finite=False)
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                assert got.flags.f_contiguous == ref.flags.f_contiguous
+                # One triangular sweep, as scipy's dtrtrs makes it, on a
+                # copy of b and on a Fortran-ordered b, which both write
+                # in place.
+                lower = factor[1]
+                ref, info = dtrtrs(factor[0], b, lower=lower,
+                                   trans=0 if lower else 1)
+                assert info == 0
+                got = half_solve_with(factor, b.copy())
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                mine, theirs = np.asfortranarray(b), np.asfortranarray(b)
+                got = half_solve_with(factor, mine)
+                ref, _ = dtrtrs(factor[0], theirs, lower=lower,
+                                trans=0 if lower else 1, overwrite_b=True)
+                assert got is mine and ref is theirs
+                assert mine.tobytes(order="A") == theirs.tobytes(order="A")
 
     def test_jittered_factor_bit_identical_to_scipy(self):
         a = np.ones((4, 4))  # rank one: the clean attempt fails
@@ -380,6 +400,33 @@ class TestCholSolve:
         a = np.array([[1.0, 0.0], [0.0, -5.0]])  # indefinite beyond max jitter
         with pytest.raises(FactorizationError, match="doomed gram"):
             chol_factor_jittered(a, "doomed gram")
+
+
+class TestExpit:
+    @staticmethod
+    def ulps(a, b):
+        # Both are nonnegative, where float order is integer order.
+        return np.abs(a.view(np.int64) - b.view(np.int64))
+
+    def test_within_4_ulp_of_scipy(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
+                            rng.uniform(-40.0, 40.0, 100_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x)
+        assert self.ulps(got, scipy_expit(x)).max() <= 4
+
+    def test_equal_to_scipy_at_the_edges(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, -1e308, 1e308, -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x)
+        assert got.tobytes() == scipy_expit(x).tobytes()
+        assert list(got[:4]) == [0.5, 0.5, 1.0, 0.0] and got[4] == 0.0
+
+    def test_scalar(self):
+        assert expit(0.0) == 0.5 and np.ndim(expit(2.0)) == 0
 
 
 class TestHalfSolve:
