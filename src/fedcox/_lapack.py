@@ -1,46 +1,23 @@
-"""LAPACK's Cholesky factor and solves, called in scipy's own library.
+"""LAPACK's Cholesky factor and solves, from scipy's wrappers without scipy.
 
-fedcox factors and solves with the LAPACK that scipy links its
-``scipy.linalg._flapack`` extension against, so every factor and solve is
-bit-identical to ``scipy.linalg.lapack``'s.  The extension's shared library
-is opened with :mod:`ctypes` and the three routines are called directly;
-importing ``scipy`` itself (its Python packages, about 26 MB of peak
-memory) is never needed.  The library is located with
-:func:`importlib.util.find_spec`, which runs no scipy code.
-
-Each function keeps the contract of the f2py wrapper it replaces: the
-same ``(result, info)`` pair, and the same rule for when an array is used
-in place and when a Fortran-ordered copy is made.  All state is local to
-each call, and :class:`ctypes.CDLL` releases the interpreter lock during
-the call, so worker threads may call these at the same time.
+fedcox factors and solves with scipy's f2py wrappers of LAPACK ``dpotrf``,
+``dpotrs`` and ``dtrtrs``, so every factor and solve is bit-identical to
+``scipy.linalg.lapack``'s.  The wrappers live in the extension module
+``scipy/linalg/_flapack``, which needs nothing from scipy's Python
+packages (about 26 MB of peak memory).  So the extension is found with
+:func:`importlib.util.find_spec`, which runs no scipy code, and loaded
+under the name ``fedcox._flapack``, never as a scipy module.
 """
 from __future__ import annotations
 
-import ctypes
 import importlib.machinery
 import importlib.util
-import struct
+import os
 from pathlib import Path
 
-import numpy as np
+__all__ = ["dpotrf", "dpotrs", "dtrtrs", "load"]
 
-__all__ = ["dpotrf", "dpotrs", "dtrtrs", "bind"]
-
-# Character and integer arguments are passed by reference; LAPACK only
-# reads them, so immutable bytes serve (a bytes object passes as a
-# pointer to its own buffer).  Integers are 32-bit, as in scipy's build.
-_INT = struct.Struct("=i").pack
-_UPLO = {True: b"L", False: b"U"}
-_TRANS = {0: b"N", 1: b"T"}
-_STR, _INTP, _PTR = ctypes.c_char_p, ctypes.c_char_p, ctypes.c_void_p
-_INFO, _LEN = ctypes.POINTER(ctypes.c_int), ctypes.c_size_t
-# Arguments of each routine; gfortran's hidden string lengths come last.
-_SIGNATURES = {
-    "dpotrf": [_STR, _INTP, _PTR, _INTP, _INFO, _LEN],
-    "dpotrs": [_STR, _INTP, _INTP, _PTR, _INTP, _PTR, _INTP, _INFO, _LEN],
-    "dtrtrs": [_STR, _STR, _STR, _INTP, _INTP, _PTR, _INTP, _PTR, _INTP,
-               _INFO, _LEN, _LEN, _LEN],
-}
+_ROUTINES = ("dpotrf", "dpotrs", "dtrtrs")
 
 
 def _library_path() -> Path:
@@ -49,133 +26,43 @@ def _library_path() -> Path:
     if spec is None or not spec.submodule_search_locations:
         raise ImportError(
             "fedcox calls LAPACK's dpotrf in scipy's linalg/_flapack "
-            "library, and scipy is not installed"
+            "extension, and scipy is not installed"
         )
-    stem = Path(spec.submodule_search_locations[0], "linalg", "_flapack")
+    package = Path(spec.submodule_search_locations[0])
+    # scipy's Windows wheels keep the LAPACK DLL in scipy.libs, which
+    # scipy/__init__.py adds to the DLL search path.
+    libs = package.with_name("scipy.libs")
+    if hasattr(os, "add_dll_directory") and libs.is_dir():
+        os.add_dll_directory(str(libs))
+    stem = package / "linalg" / "_flapack"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = stem.with_name(stem.name + suffix)
         if path.is_file():
             return path
     raise ImportError(
-        f"fedcox calls LAPACK's dpotrf in scipy's {stem} library, and no "
+        f"fedcox calls LAPACK's dpotrf in scipy's {stem} extension, and no "
         f"such file exists with any of the suffixes "
         f"{importlib.machinery.EXTENSION_SUFFIXES}"
     )
 
 
-def bind(path) -> tuple:
-    """``dpotrf``, ``dpotrs`` and ``dtrtrs`` in the shared library at ``path``.
+def load(path) -> tuple:
+    """``dpotrf``, ``dpotrs`` and ``dtrtrs`` of the f2py extension at ``path``.
 
-    scipy's wheels export them as ``scipy_dpotrf_`` and so on; other builds
-    use the plain Fortran names.  A library with neither raises
-    ``ImportError`` naming the routine and the file.
+    A module without one of them raises ``ImportError`` naming the routine
+    and the file.
     """
-    lib = ctypes.CDLL(str(path))
-    routines = []
-    for name, argtypes in _SIGNATURES.items():
-        for symbol in (f"scipy_{name}_", f"{name}_"):
-            try:
-                fn = lib[symbol]
-            except AttributeError:
-                continue
-            fn.argtypes, fn.restype = argtypes, None
-            routines.append(fn)
-            break
-        else:
+    path = Path(path)
+    name = f"fedcox.{path.name.partition('.')[0]}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for routine in _ROUTINES:
+        if not hasattr(module, routine):
             raise ImportError(
-                f"{path} exports neither scipy_{name}_ nor {name}_, so "
-                f"LAPACK's {name} cannot be called"
+                f"{path} has no {routine}, so LAPACK's {routine} cannot be called"
             )
-    return tuple(routines)
+    return tuple(getattr(module, routine) for routine in _ROUTINES)
 
 
-_DPOTRF, _DPOTRS, _DTRTRS = bind(_library_path())
-
-
-def _fortran(x: np.ndarray, copy: bool) -> np.ndarray:
-    """``x`` if LAPACK can use its buffer as is, else a Fortran-ordered copy."""
-    if copy or not (x.flags.f_contiguous and x.dtype == np.float64):
-        return np.array(x, dtype=np.float64, order="F")
-    return x
-
-
-def _address(x: np.ndarray) -> int | None:
-    """Address of a Fortran-ordered ``x``'s data; None (NULL) when empty.
-
-    Through a writeable buffer where there is one (``x.T`` is C-contiguous,
-    as the buffer protocol asks), which takes about half the time of
-    ``__array_interface__``, the one way for a read-only ``x``.
-    """
-    if not x.size:
-        return None
-    if x.flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(x.T))
-    return x.__array_interface__["data"][0]
-
-
-def _square(a: np.ndarray, routine: str) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{routine}: matrix must be square, got shape {a.shape}")
-    return a.shape[0]
-
-
-def _right_hand_side(b: np.ndarray, n: int, routine: str) -> int:
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError(
-            f"{routine}: right-hand side of shape {b.shape} does not fit a "
-            f"{n} x {n} matrix"
-        )
-    return 1 if b.ndim == 1 else b.shape[1]
-
-
-def dpotrf(a: np.ndarray, lower: bool):
-    """Cholesky-factor ``a`` in place; returns ``(a, info)`` as LAPACK sets them.
-
-    ``a`` must be a writeable, Fortran-ordered float64 matrix.  Only the
-    ``lower`` (or upper) triangle is read and overwritten by the factor;
-    the other triangle is left as it was, as with f2py's ``clean=False``.
-    """
-    if not (a.flags.f_contiguous and a.flags.writeable and a.dtype == np.float64):
-        raise ValueError("dpotrf: need a writeable Fortran-ordered float64 matrix")
-    n = _INT(_square(a, "dpotrf"))
-    info = ctypes.c_int()
-    _DPOTRF(_UPLO[lower], n, _address(a), n, info, 1)
-    return a, info.value
-
-
-def dpotrs(c: np.ndarray, b: np.ndarray, lower: bool):
-    """Solve ``A x = b`` with ``A``'s Cholesky factor ``c``; returns ``(x, info)``.
-
-    ``x`` is always a new Fortran-ordered array of ``b``'s shape, and ``c``
-    is copied only if it is not already a Fortran-ordered float64 array.
-    f2py's ``dpotrs(c, b, lower)`` copies the same way.
-    """
-    c = _fortran(c, copy=False)
-    n = _square(c, "dpotrs")
-    nrhs = _right_hand_side(b, n, "dpotrs")
-    x = _fortran(b, copy=True)
-    n = _INT(n)
-    info = ctypes.c_int()
-    _DPOTRS(_UPLO[lower], n, _INT(nrhs), _address(c), n, _address(x), n,
-            info, 1)
-    return x, info.value
-
-
-def dtrtrs(a: np.ndarray, b: np.ndarray, lower: bool, trans: int):
-    """Solve ``op(A) x = b`` for triangular ``A``; returns ``(x, info)``.
-
-    ``op(A)`` is ``A`` for ``trans=0`` and ``A^T`` for ``trans=1``.  A
-    writeable, Fortran-ordered float64 ``b`` is overwritten with ``x``, as
-    by f2py's ``dtrtrs(..., overwrite_b=True)``; any other ``b`` is copied
-    first (f2py writes into a read-only ``b`` too).  ``a`` is copied only
-    if it is not a Fortran-ordered float64 array.
-    """
-    a = _fortran(a, copy=False)
-    n = _square(a, "dtrtrs")
-    nrhs = _right_hand_side(b, n, "dtrtrs")
-    x = _fortran(b, copy=not b.flags.writeable)
-    n = _INT(n)
-    info = ctypes.c_int()
-    _DTRTRS(_UPLO[lower], _TRANS[trans], b"N", n, _INT(nrhs), _address(a), n,
-            _address(x), n, info, 1, 1, 1)
-    return x, info.value
+dpotrf, dpotrs, dtrtrs = load(_library_path())

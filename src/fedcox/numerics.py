@@ -14,7 +14,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from . import _lapack
+from ._lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "DiagGaussian",
@@ -215,7 +215,8 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
     time and ``a`` itself is never written.  The clean rung factors ``a``'s
     entries as they are (a ``-0.0`` stays ``-0.0``), bit for bit as
     ``scipy.linalg.cho_factor(a, lower=True)``: both make one LAPACK
-    ``dpotrf`` call in the library scipy ships (see :mod:`fedcox._lapack`).
+    ``dpotrf`` call through scipy's ``_flapack`` wrapper (see
+    :mod:`fedcox._lapack`).
     """
     a = np.asarray(a, dtype=np.float64)
     scale = float(np.mean(np.diag(a)))
@@ -227,9 +228,9 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
         if jitter:
             # The diagonal of c, through a flat view (reshape(-1) copies).
             c.reshape(-1, order="F")[::c.shape[0] + 1] += jitter
-        # LAPACK dpotrf in scipy's library, in place; the upper triangle is
-        # left as the input had it.
-        c, info = _lapack.dpotrf(c, lower=True)
+        # LAPACK dpotrf through scipy's _flapack, in place; the upper
+        # triangle is left as the input had it.
+        c, info = dpotrf(c, lower=True, clean=False, overwrite_a=True)
         if info == 0:
             # OpenBLAS reports success on non-finite input; any NaN or inf
             # in the triangle it reads reaches the factor's diagonal.
@@ -258,15 +259,15 @@ def solve_with(factor, b):
     """Solve with an existing factor (saves refactorizing in inner loops).
 
     ``factor`` is ``(c, lower)`` as :func:`chol_factor_jittered` returns it;
-    ``b`` is 1-D or 2-D.  One LAPACK ``dpotrs`` call in the library scipy
-    ships, so bit-identical to ``scipy.linalg.cho_solve``, which makes the
-    same call.  The result is a new Fortran-ordered array.
+    ``b`` is 1-D or 2-D.  Bit-identical to ``scipy.linalg.cho_solve``, whose
+    LAPACK ``dpotrs`` call through scipy's ``_flapack`` this makes without
+    the wrapper around it.
     """
     c, lower = factor
     b = np.asarray(b, dtype=np.float64)
     if b.size == 0:
         return np.empty_like(b)
-    x, info = _lapack.dpotrs(c, b, lower)
+    x, info = dpotrs(c, b, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
@@ -278,8 +279,8 @@ def half_solve_with(factor, b):
     ``factor`` is ``(c, lower)`` as for :func:`solve_with`; with an upper
     factor ``U`` (``K = U^T U``), ``L`` is ``U^T``.  Column by column,
     ``||L^-1 b||^2`` is the diagonal of ``b^T K^-1 b``, which takes half the
-    work of :func:`solve_with`'s two sweeps.  One LAPACK ``dtrtrs`` call in
-    the library scipy ships.  A writeable, Fortran-ordered float64 ``b`` is
+    work of :func:`solve_with`'s two sweeps.  One LAPACK ``dtrtrs`` call
+    through scipy's ``_flapack``.  A Fortran-ordered float64 ``b`` is
     consumed: the result is written into it and no copy is made.  Any other
     ``b`` is copied and left unchanged.
     """
@@ -287,7 +288,8 @@ def half_solve_with(factor, b):
     b = np.asarray(b, dtype=np.float64)
     if b.size == 0:
         return np.empty_like(b)
-    x, info = _lapack.dtrtrs(c, b, lower, trans=0 if lower else 1)
+    x, info = dtrtrs(c, b, lower=lower, trans=0 if lower else 1,
+                     overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     if info > 0:
