@@ -25,6 +25,7 @@ from .client import (
     local_objective,
     local_objective_grad,
     posterior_f_moments,
+    sample_blocks,
     test_loglik,
     update_inducing,
     update_latent_pp,

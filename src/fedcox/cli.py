@@ -221,6 +221,8 @@ def _gaussian_json(g: DiagGaussian) -> dict:
 
 
 def write_param_records(records, path) -> None:
+    if not records:
+        raise ValueError("parameter record list holds no records")
     _write_versioned(path, {"dim": records[0].dim}, "records",
                      map(_gaussian_json, records))
 

@@ -45,6 +45,7 @@ __all__ = [
     "derive_seed",
     "draw_w_samples",
     "posterior_f_moments",
+    "sample_blocks",
     "update_pg",
     "update_latent_pp",
     "update_inducing",
@@ -131,7 +132,6 @@ class ClientState:
     pg: np.ndarray
     latent_rate: np.ndarray
     latent_c: np.ndarray
-    n_w_samples: int
     diagnostics: dict = field(default_factory=dict)
     events: np.ndarray = field(init=False)
     seq_slices: list = field(init=False)
@@ -210,9 +210,7 @@ class _InducingBlocks:
             state.q_u.locations, self.params, state.spec
         )
         self.h_z = self.tape_z.out
-        ell2 = self.params.length_scale ** 2
-        self.d2_zz = dk._sqdist(self.h_z, self.h_z)
-        self.k_zz = self.params.r * np.exp(-0.5 * self.d2_zz / ell2)
+        self.d2_zz, self.k_zz = dk.rbf_block(self.h_z, self.h_z, self.params)
         self.factor, self.jitter = chol_factor_jittered(
             self.k_zz, f"client {state.id} inducing gram", baseline=True
         )
@@ -248,10 +246,11 @@ class _SampleCache:
     can return different last bits for the same row at a different offset
     in its operand, so slicing them out of a larger events+grid build is
     not exact.
-    Distances come from :func:`fedcox.kernel._sqdist`, which matches the
-    broadcast sum bit for bit.  Training amplifies any last-bit change
-    into visibly different parameters, so a rewrite here must keep every
-    float identical or be treated as a change of results.
+    Distances and kernel entries come from :func:`fedcox.kernel.rbf_block`,
+    whose distances match the broadcast sum bit for bit.  Training
+    amplifies any last-bit change into visibly different parameters, so a
+    rewrite here must keep every float identical or be treated as a change
+    of results.
     """
 
     __slots__ = ("z", "tape_t", "d2_tz", "k_tz", "beta", "alpha")
@@ -260,10 +259,7 @@ class _SampleCache:
                  times: np.ndarray):
         self.z = z
         self.tape_t = dk.embed_with_tape(times, z.params, state.spec)
-        h_t = self.tape_t.out
-        ell2 = z.params.length_scale ** 2
-        self.d2_tz = dk._sqdist(h_t, z.h_z)
-        self.k_tz = z.params.r * np.exp(-0.5 * self.d2_tz / ell2)
+        self.d2_tz, self.k_tz = dk.rbf_block(self.tape_t.out, z.h_z, z.params)
         # One batched triangular solve covers beta and alpha.
         rhs = np.concatenate(
             [self.k_tz.T, (state.q_u.mean - state.nu)[:, None]], axis=1
@@ -274,8 +270,9 @@ class _SampleCache:
         self.alpha = solved[:, -1]
 
 
-def _inducing_blocks(state, w):
-    """Blocks for each row of ``w``, a packed vector or a sample matrix."""
+def sample_blocks(state: ClientState | PredictiveState, w) -> list:
+    """Inducing-point blocks of each row of ``w``, a packed vector or a
+    sample matrix; one list serves every update of a sweep."""
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     return [_InducingBlocks(state, row) for row in w]
 
@@ -306,37 +303,31 @@ def posterior_f_moments(state: ClientState | PredictiveState, w, times):
     Variances are clamped to at least 1e-12.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    ef, ef2 = _mixture_moments(state, _inducing_blocks(state, w), times)
+    ef, ef2 = _mixture_moments(state, sample_blocks(state, w), times)
     var = ef2 - ef**2
     if np.any(var < -1e-8):
         log.warning("posterior variance fell below -1e-8; clamping")
     return ef, np.maximum(var, 1e-12)
 
 
-def update_pg(state: ClientState, w, blocks=None) -> np.ndarray:
+def update_pg(state: ClientState, blocks) -> np.ndarray:
     """Tilt the per-event Polya-Gamma parameters to sqrt(E[f^2]).
 
-    ``blocks`` (optional) are the inducing-point blocks of ``w``, built
-    once and shared by the updates of one sweep, as :func:`client_update`
-    does; results are bit-identical either way.
+    ``blocks`` hold the sweep's kernel samples, from :func:`sample_blocks`.
     """
     if state.events.size:
-        if blocks is None:
-            blocks = _inducing_blocks(state, w)
         _, ef2 = _mixture_moments(state, blocks, state.events)
         state.pg = np.sqrt(np.maximum(ef2, 0.0))
     return state.pg
 
 
-def update_latent_pp(state: ClientState, w, blocks=None) -> np.ndarray:
+def update_latent_pp(state: ClientState, blocks) -> np.ndarray:
     """Refresh the thinned-process rate and mark parameter on the grid.
 
     rate = m * exp(-E[f]/2) / (2 cosh(c/2)) with c = sqrt(E[f^2]); the
     exponent is clamped to +-60 and clamping is recorded in diagnostics.
     ``blocks`` is as in :func:`update_pg`.
     """
-    if blocks is None:
-        blocks = _inducing_blocks(state, w)
     ef, ef2 = _mixture_moments(state, blocks, state.grid.nodes)
     state.latent_c = np.sqrt(np.maximum(ef2, 0.0))
     log_rate = math.log(state.m) - 0.5 * ef - log_2cosh(0.5 * state.latent_c)
@@ -365,7 +356,7 @@ def _ab_coefficients(state: ClientState):
     return a_ev, b_ev, a_gr, b_gr
 
 
-def update_inducing(state: ClientState, w, blocks=None) -> InducingPosterior:
+def update_inducing(state: ClientState, blocks) -> InducingPosterior:
     """Closed-form refresh of the sparse posterior at the inducing points.
 
     Natural parameters are averaged over the kernel samples: precision
@@ -378,8 +369,6 @@ def update_inducing(state: ClientState, w, blocks=None) -> InducingPosterior:
     b_all = np.concatenate([b_ev, b_gr])
     times = np.concatenate([state.events, state.grid.nodes])
     m_ind = state.q_u.locations.size
-    if blocks is None:
-        blocks = _inducing_blocks(state, w)
     precision = np.zeros((m_ind, m_ind))
     linear = np.zeros(m_ind)
     for z in blocks:
@@ -518,7 +507,7 @@ def local_objective(state: ClientState, theta: DiagGaussian, batch,
     """
     idx, scale, times = _batch_events(state, batch)
     w = draw_w_samples(state.phi, n_w_samples, noise_seed)
-    blocks = _inducing_blocks(state, w)
+    blocks = sample_blocks(state, w)
     ef, ef2 = _mixture_moments(state, blocks, times)
     n_ev = idx.size
     value = scale * float(np.sum(_tilted_terms(
@@ -599,12 +588,14 @@ def _sample_grad(state, c, a_t, b_t) -> np.ndarray:
 
 
 def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
-                  batch_size: int, eta: float, seed: int) -> DiagGaussian:
+                  batch_size: int, eta: float, seed: int,
+                  n_w_samples: int) -> DiagGaussian:
     """Run the local epochs: coordinate sweep, then mini-batch phi steps.
 
-    Each epoch draws one shared set of kernel samples for the sweep and
-    builds their inducing-point blocks once for its three updates, then walks
-    shuffled mini-batches of sequences with per-step fresh noise.
+    Each epoch draws one shared set of ``n_w_samples`` kernel samples for
+    the sweep and builds their inducing-point blocks once for its three
+    updates, then walks shuffled mini-batches of sequences with per-step
+    fresh noise of as many samples.
     The phi steps use Adam on (mean, log variance); raw gradients carry
     the event count's scale, which plain constant-step descent cannot
     survive on the log-variance coordinates.  Fully deterministic given
@@ -620,13 +611,12 @@ def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
     adam_t = 0
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     for epoch in range(epochs):
-        w = draw_w_samples(
-            state.phi, state.n_w_samples, derive_seed(seed, epoch, 0)
-        )
-        blocks = _inducing_blocks(state, w)
-        update_pg(state, w, blocks)
-        update_latent_pp(state, w, blocks)
-        update_inducing(state, w, blocks)
+        blocks = sample_blocks(state, draw_w_samples(
+            state.phi, n_w_samples, derive_seed(seed, epoch, 0)
+        ))
+        update_pg(state, blocks)
+        update_latent_pp(state, blocks)
+        update_inducing(state, blocks)
         update_scale(state)
         order = np.random.default_rng(
             derive_seed(seed, epoch, 1)
@@ -634,7 +624,7 @@ def client_update(state: ClientState, theta: DiagGaussian, epochs: int,
         for step, start in enumerate(range(0, state.n_seqs, batch_size)):
             batch = order[start:start + batch_size]
             g_mean, g_logv = local_objective_grad(
-                state, theta, batch, state.n_w_samples,
+                state, theta, batch, n_w_samples,
                 derive_seed(seed, epoch, 2, step),
             )
             if eta == 0.0:
@@ -702,7 +692,7 @@ def test_loglik(state: ClientState | PredictiveState, test_seqs,
 
 def init_client(client_id: int, train_seqs, theta: DiagGaussian,
                 spec: EncoderSpec, inducing_locations, grid: QuadratureGrid,
-                k_zz: np.ndarray, n_w_samples: int) -> ClientState:
+                k_zz: np.ndarray) -> ClientState:
     """Fresh client state: phi broadcast from theta, q(u) at the prior.
 
     ``k_zz`` is the prior gram at the inducing locations under theta's
@@ -729,7 +719,6 @@ def init_client(client_id: int, train_seqs, theta: DiagGaussian,
         pg=np.ones(n_events),
         latent_rate=np.full(grid.size, 0.5 * m0),
         latent_c=np.zeros(grid.size),
-        n_w_samples=n_w_samples,
     )
 
 

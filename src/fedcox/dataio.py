@@ -339,22 +339,14 @@ def load_jsonl(path) -> list[EventSequence]:
                 raise ValueError(
                     f"'times' must be a list of numbers at line {lineno}"
                 )
-            marks = record.get("marks")
-            if marks is not None and not (isinstance(marks, list) and all(
-                type(k) is int or type(k) is float and k.is_integer()
-                for k in marks
-            )):
-                raise ValueError(f"marks must be integers at line {lineno}")
             horizon = record.get("horizon")
             if horizon is None:
                 if not times:
                     raise ValueError(f"empty sequence without horizon at line {lineno}")
                 horizon = times[-1]
-            # No bool passed the check above, so EventSequence is handed an
-            # array and skips its own scan of the list for bools.
-            marks = None if marks is None else np.asarray(marks)
             try:
-                seqs.append(EventSequence(times=times, horizon=horizon, marks=marks))
+                seqs.append(EventSequence(times=times, horizon=horizon,
+                                          marks=record.get("marks")))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"invalid sequence at line {lineno}: {exc}") from None
     if not seqs:

@@ -31,6 +31,7 @@ __all__ = [
     "embed_with_jacobian",
     "net_vjp",
     "kernel_eval",
+    "rbf_block",
     "kernel_matrix",
     "kernel_grad",
     "accumulate_param_grad",
@@ -246,13 +247,19 @@ def kernel_eval(t_i, t_j, params, spec: EncoderSpec) -> float:
     return p.r * float(np.exp(-0.5 * d2 / (ell * ell)))
 
 
+def rbf_block(ha: np.ndarray, hb: np.ndarray, params: KernelParams):
+    """``(d2, k)``: squared distances between embedding rows and the RBF
+    block ``r * exp(-0.5 * d2 / length_scale ** 2)``, built only here."""
+    d2 = _sqdist(ha, hb)
+    return d2, params.r * np.exp(-0.5 * d2 / params.length_scale ** 2)
+
+
 def kernel_matrix(times_a, times_b, params, spec: EncoderSpec) -> np.ndarray:
     """Cross-kernel matrix with entry (i, j) = k(a_i, b_j)."""
     p = _as_params(params, spec)
     ha = embed(np.atleast_1d(times_a), p, spec)
     hb = embed(np.atleast_1d(times_b), p, spec)
-    ell = p.length_scale
-    return p.r * np.exp(-0.5 * _sqdist(ha, hb) / (ell * ell))
+    return rbf_block(ha, hb, p)[1]
 
 
 def kernel_grad(t_i, t_j, params, spec: EncoderSpec) -> np.ndarray:
@@ -292,7 +299,7 @@ def accumulate_param_grad(
     coefficient of the diagonal entries k(t, t), returns
     sum over entries of coeff * d(kernel entry)/d(packed).  Raw kernel
     blocks, their squared embedding distances (``d2_zz``, ``d2_tz``, as
-    :func:`_sqdist` gives them) and the embedding tapes are passed in so
+    :func:`rbf_block` gives them) and the embedding tapes are passed in so
     call sites can reuse their caches.
 
     ``k_zz_jitter`` is the diagonal boost the caller added to the square

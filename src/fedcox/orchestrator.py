@@ -85,6 +85,10 @@ class FedConfig:
             if kind is not None:
                 check_setting(f.name, getattr(self, f.name), kind,
                               _LOWER_BOUNDS.get(f.name))
+        if not isinstance(self.aggregation, AggregationMethod):
+            raise TypeError(
+                f"aggregation must be an AggregationMethod, got {self.aggregation!r}"
+            )
         if self.participants_per_round > self.n_clients:
             raise ValueError("participants_per_round must be <= n_clients")
 
@@ -159,7 +163,7 @@ def build_clients(config: FedConfig, train_sets, horizon: float,
     k_zz = kernel_matrix(inducing, inducing, server.theta.mean, spec)
     clients = [
         cl.init_client(cid, seqs, server.theta, spec, inducing, grid,
-                       k_zz.copy(), config.n_w_samples)
+                       k_zz.copy())
         for cid, seqs in enumerate(train_sets)
     ]
     return server, clients
@@ -188,7 +192,7 @@ def _update_one(state, theta, config, round_index, test_seqs, interval):
     seed = cl.derive_seed(config.seed, _STREAM_CLIENT, state.id, round_index)
     phi = cl.client_update(
         work, theta, config.local_epochs, config.batch_size,
-        config.step_size, seed,
+        config.step_size, seed, config.n_w_samples,
     )
     elbo_value = cl.elbo(work, theta, config.n_w_samples,
                          cl.derive_seed(seed, 0xE1B0))

@@ -252,13 +252,14 @@ def micro_state(rng, conditioned=False):
         pg=rng.uniform(0.05, 2.5, n_events),
         latent_rate=rng.uniform(0.0, 8.0, n_grid),
         latent_c=rng.uniform(0.0, 2.5, n_grid),
-        n_w_samples=2,
     )
     if conditioned:
-        w = cl.draw_w_samples(state.phi, 2, int(rng.integers(1 << 30)))
-        cl.update_pg(state, w)
-        cl.update_latent_pp(state, w)
-        cl.update_inducing(state, w)
+        blocks = cl.sample_blocks(state, cl.draw_w_samples(
+            state.phi, 2, int(rng.integers(1 << 30))
+        ))
+        cl.update_pg(state, blocks)
+        cl.update_latent_pp(state, blocks)
+        cl.update_inducing(state, blocks)
         cl.update_scale(state)
     return state
 
@@ -276,13 +277,13 @@ def test_criterion_05_mfvi_monotonicity():
         st = micro_state(rng)
         theta = micro_theta(rng)
         seed = 7000 + trial
-        w = cl.draw_w_samples(st.phi, 2, seed)
+        blocks = cl.sample_blocks(st, cl.draw_w_samples(st.phi, 2, seed))
         values = [cl.elbo(st, theta, 2, seed)]
-        cl.update_pg(st, w)
+        cl.update_pg(st, blocks)
         values.append(cl.elbo(st, theta, 2, seed))
-        cl.update_latent_pp(st, w)
+        cl.update_latent_pp(st, blocks)
         values.append(cl.elbo(st, theta, 2, seed))
-        cl.update_inducing(st, w)
+        cl.update_inducing(st, blocks)
         values.append(cl.elbo(st, theta, 2, seed))
         cl.update_scale(st)
         values.append(cl.elbo(st, theta, 2, seed))

@@ -714,6 +714,11 @@ class TestAggregateCommand:
                      "--mmd-delta", delta]) == 2
         assert "mmd_delta" in capsys.readouterr().err
 
+    def test_writing_no_records_fails_before_any_file(self, tmp_path):
+        with pytest.raises(ValueError, match="holds no records"):
+            write_param_records([], tmp_path / "records.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_method_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["aggregate", "--method", "median", "--in", "x", "--out", "y"])

@@ -10,7 +10,7 @@ from scipy.special import expit, roots_hermite
 
 import fedcox.client as cl
 from fedcox.dataio import EventSequence
-from fedcox.kernel import EncoderSpec, kernel_matrix
+from fedcox.kernel import EncoderSpec, init_kernel_params, kernel_matrix
 from fedcox.numerics import DiagGaussian, kl_diag, solve_with, trapezoid_grid
 
 SPEC = EncoderSpec(hidden_dim=2, output_dim=2, t_norm=1.0)
@@ -46,7 +46,6 @@ def make_state(rng, n_seqs=3, max_events=5, n_inducing=4, n_grid=17,
         pg=rng.uniform(0.1, 2.0, n_events),
         latent_rate=rng.uniform(0.0, 5.0, n_grid),
         latent_c=rng.uniform(0.0, 2.0, n_grid),
-        n_w_samples=2,
     )
 
 
@@ -77,7 +76,6 @@ def saturated_kernel_state(q_mean, q_var, m):
         pg=np.empty(0),
         latent_rate=np.zeros(5),
         latent_c=np.zeros(5),
-        n_w_samples=4,
     )
 
 
@@ -141,7 +139,7 @@ class TestUpdatePg:
         st.events = np.array([0.5])
         st.seq_slices = [slice(0, 1)]
         st.pg = np.ones(1)
-        cl.update_pg(st, st.phi.mean)
+        cl.update_pg(st, cl.sample_blocks(st, st.phi.mean))
         assert st.pg[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_mean_three_var_four(self):
@@ -149,7 +147,7 @@ class TestUpdatePg:
         st.events = np.array([0.5])
         st.seq_slices = [slice(0, 1)]
         st.pg = np.ones(1)
-        cl.update_pg(st, st.phi.mean)
+        cl.update_pg(st, cl.sample_blocks(st, st.phi.mean))
         assert st.pg[0] == pytest.approx(math.sqrt(13.0), rel=1e-6)
 
     def test_bound_never_decreases(self):
@@ -159,7 +157,7 @@ class TestUpdatePg:
             theta = random_theta(rng)
             w = cl.draw_w_samples(st.phi, 2, 55)
             before = cl.elbo(st, theta, 2, 55)
-            cl.update_pg(st, w)
+            cl.update_pg(st, cl.sample_blocks(st, w))
             after = cl.elbo(st, theta, 2, 55)
             assert after >= before - 1e-6 * abs(before)
 
@@ -167,12 +165,12 @@ class TestUpdatePg:
 class TestUpdateLatentPp:
     def test_half_m_at_zero_function(self):
         st = saturated_kernel_state(0.0, 1e-14, 1.0)
-        cl.update_latent_pp(st, st.phi.mean)
+        cl.update_latent_pp(st, cl.sample_blocks(st, st.phi.mean))
         np.testing.assert_allclose(st.latent_rate, 0.5, rtol=1e-6)
 
     def test_vanishes_for_large_function(self):
         st = saturated_kernel_state(60.0, 1e-14, 1.0)
-        cl.update_latent_pp(st, st.phi.mean)
+        cl.update_latent_pp(st, cl.sample_blocks(st, st.phi.mean))
         assert np.all(st.latent_rate < 1e-12)
 
     @pytest.mark.parametrize("q_mean, m, limit", [
@@ -182,11 +180,11 @@ class TestUpdateLatentPp:
     def test_log_rate_clamped_past_the_limit(self, q_mean, m, limit):
         st = saturated_kernel_state(q_mean, 1e-14, m)
         nodes = st.grid.size
-        cl.update_latent_pp(st, st.phi.mean)
+        cl.update_latent_pp(st, cl.sample_blocks(st, st.phi.mean))
         assert st.diagnostics["log_rate_clamped"] == nodes
         assert np.all(st.latent_rate == math.exp(limit))
         # Every refresh adds its clipped nodes to the count.
-        cl.update_latent_pp(st, st.phi.mean)
+        cl.update_latent_pp(st, cl.sample_blocks(st, st.phi.mean))
         assert st.diagnostics["log_rate_clamped"] == 2 * nodes
 
     @pytest.mark.parametrize("q_mean, m", [
@@ -195,7 +193,7 @@ class TestUpdateLatentPp:
     ], ids=["low", "high"])
     def test_nothing_recorded_under_the_limit(self, q_mean, m):
         st = saturated_kernel_state(q_mean, 1e-14, m)
-        cl.update_latent_pp(st, st.phi.mean)
+        cl.update_latent_pp(st, cl.sample_blocks(st, st.phi.mean))
         assert "log_rate_clamped" not in st.diagnostics
         rate = st.latent_rate
         assert np.all((rate > math.exp(-cl._LOG_RATE_CLAMP))
@@ -208,7 +206,7 @@ class TestUpdateLatentPp:
             theta = random_theta(rng)
             w = cl.draw_w_samples(st.phi, 2, 66)
             before = cl.elbo(st, theta, 2, 66)
-            cl.update_latent_pp(st, w)
+            cl.update_latent_pp(st, cl.sample_blocks(st, w))
             after = cl.elbo(st, theta, 2, 66)
             assert after >= before - 1e-6 * abs(before)
 
@@ -222,7 +220,7 @@ class TestUpdateInducing:
         st.pg = np.empty(0)
         st.latent_rate = np.zeros(st.grid.size)
         w = st.phi.mean
-        cl.update_inducing(st, w)
+        cl.update_inducing(st, cl.sample_blocks(st, w))
         z = st.q_u.locations
         k_zz = kernel_matrix(z, z, w, st.spec)
         np.testing.assert_allclose(st.q_u.mean, st.nu, atol=1e-8)
@@ -238,7 +236,7 @@ class TestUpdateInducing:
         r = math.exp(0.0)
         omega = math.tanh(0.45) / (2 * 0.9)
         precision = omega + 1.0 / r
-        cl.update_inducing(st, w)
+        cl.update_inducing(st, cl.sample_blocks(st, w))
         assert st.q_u.cov[0, 0] == pytest.approx(1.0 / precision, rel=1e-6)
         assert st.q_u.mean[0] == pytest.approx(0.5 / precision, rel=1e-6)
 
@@ -249,7 +247,7 @@ class TestUpdateInducing:
             theta = random_theta(rng)
             w = cl.draw_w_samples(st.phi, 2, 77)
             before = cl.elbo(st, theta, 2, 77)
-            cl.update_inducing(st, w)
+            cl.update_inducing(st, cl.sample_blocks(st, w))
             after = cl.elbo(st, theta, 2, 77)
             assert after >= before - 1e-6 * abs(before)
 
@@ -431,10 +429,10 @@ class TestMfviSweepMonotonicity:
             rng = np.random.default_rng(1000 + trial)
             st = make_state(rng, n_seqs=3, max_events=7, n_inducing=5, n_grid=21)
             theta = random_theta(rng)
-            w = cl.draw_w_samples(st.phi, 2, 4242)
+            blocks = cl.sample_blocks(st, cl.draw_w_samples(st.phi, 2, 4242))
             values = [cl.elbo(st, theta, 2, 4242)]
             for update in (cl.update_pg, cl.update_latent_pp, cl.update_inducing):
-                update(st, w)
+                update(st, blocks)
                 values.append(cl.elbo(st, theta, 2, 4242))
             cl.update_scale(st)
             values.append(cl.elbo(st, theta, 2, 4242))
@@ -454,6 +452,19 @@ class TestSharedSweepBlocks:
             )
             assert blocks.kzz_inv is blocks.kzz_inv
 
+    def test_kernel_matrix_equals_inducing_gram(self):
+        # kernel.rbf_block builds both.  At this length scale ell ** 2 and
+        # ell * ell differ by one ulp, so two formulas would move bits.
+        spec = EncoderSpec(hidden_dim=4, output_dim=3, t_norm=1.0)
+        st = make_state(np.random.default_rng(31), n_inducing=9, spec=spec)
+        w = init_kernel_params(spec, 3)
+        w[-1] = -0.2638
+        ell = math.exp(w[-1])
+        assert ell ** 2 != ell * ell
+        z = st.q_u.locations
+        assert (kernel_matrix(z, z, w, spec).tobytes()
+                == cl._InducingBlocks(st, w).k_zz.tobytes())
+
     def test_shared_sweep_bit_identical_to_unshared(self):
         for trial in range(6):
             rng = np.random.default_rng(3000 + trial)
@@ -464,11 +475,11 @@ class TestSharedSweepBlocks:
             plain, shared_st = copy.deepcopy(st), copy.deepcopy(st)
             for update in (cl.update_pg, cl.update_latent_pp,
                            cl.update_inducing):
-                update(plain, w)
-            blocks = cl._inducing_blocks(shared_st, w)
+                update(plain, cl.sample_blocks(plain, w))
+            blocks = cl.sample_blocks(shared_st, w)
             for update in (cl.update_pg, cl.update_latent_pp,
                            cl.update_inducing):
-                update(shared_st, w, blocks)
+                update(shared_st, blocks)
             np.testing.assert_array_equal(shared_st.pg, plain.pg)
             np.testing.assert_array_equal(shared_st.latent_rate, plain.latent_rate)
             np.testing.assert_array_equal(shared_st.latent_c, plain.latent_c)
@@ -573,7 +584,8 @@ class TestClientUpdate:
         theta = random_theta(rng)
         phi_before = st.phi
         pg_before = st.pg.copy()
-        cl.client_update(st, theta, epochs=1, batch_size=2, eta=0.0, seed=9)
+        cl.client_update(st, theta, epochs=1, batch_size=2, eta=0.0, seed=9,
+                         n_w_samples=2)
         assert np.array_equal(st.phi.mean, phi_before.mean)
         assert np.array_equal(st.phi.var, phi_before.var)
         assert not np.array_equal(st.pg, pg_before)
@@ -584,8 +596,8 @@ class TestClientUpdate:
         theta = random_theta(rng)
         st_a = copy.deepcopy(st)
         st_b = copy.deepcopy(st)
-        phi_a = cl.client_update(st_a, theta, 2, 2, 0.01, seed=77)
-        phi_b = cl.client_update(st_b, theta, 2, 2, 0.01, seed=77)
+        phi_a = cl.client_update(st_a, theta, 2, 2, 0.01, seed=77, n_w_samples=2)
+        phi_b = cl.client_update(st_b, theta, 2, 2, 0.01, seed=77, n_w_samples=2)
         assert np.array_equal(phi_a.mean, phi_b.mean)
         assert np.array_equal(phi_a.var, phi_b.var)
         assert st_a.m == st_b.m
@@ -595,15 +607,17 @@ class TestClientUpdate:
         rng = np.random.default_rng(18)
         st = make_state(rng)
         theta = random_theta(rng)
-        phi_a = cl.client_update(copy.deepcopy(st), theta, 2, 2, 0.01, seed=1)
-        phi_b = cl.client_update(copy.deepcopy(st), theta, 2, 2, 0.01, seed=2)
+        phi_a = cl.client_update(copy.deepcopy(st), theta, 2, 2, 0.01, seed=1,
+                                 n_w_samples=2)
+        phi_b = cl.client_update(copy.deepcopy(st), theta, 2, 2, 0.01, seed=2,
+                                 n_w_samples=2)
         assert not np.array_equal(phi_a.mean, phi_b.mean)
 
     def test_variances_stay_positive(self):
         rng = np.random.default_rng(19)
         st = make_state(rng)
         theta = random_theta(rng)
-        cl.client_update(st, theta, 3, 1, 0.05, seed=5)
+        cl.client_update(st, theta, 3, 1, 0.05, seed=5, n_w_samples=2)
         assert np.all(st.phi.var > 0)
 
     # (seed, n_w_samples, batch_size) -> SHA-256 of phi, q(u) and m after
@@ -626,9 +640,9 @@ class TestClientUpdate:
         seed, n_samples, batch_size = key
         rng = np.random.default_rng(seed)
         st = make_state(rng, n_seqs=5, max_events=6, n_inducing=5, n_grid=21)
-        st.n_w_samples = n_samples
         theta = random_theta(rng)
-        cl.client_update(st, theta, 2, batch_size, 0.02, seed=11)
+        cl.client_update(st, theta, 2, batch_size, 0.02, seed=11,
+                         n_w_samples=n_samples)
         parts = (st.phi.mean, st.phi.var, st.q_u.mean, st.q_u.cov,
                  np.float64(st.m))
         digest = hashlib.sha256(
@@ -641,9 +655,9 @@ class TestClientUpdate:
         st = make_state(rng)
         theta = random_theta(rng)
         with pytest.raises(ValueError):
-            cl.client_update(st, theta, 0, 1, 0.1, seed=0)
+            cl.client_update(st, theta, 0, 1, 0.1, seed=0, n_w_samples=2)
         with pytest.raises(ValueError):
-            cl.client_update(st, theta, 1, 0, 0.1, seed=0)
+            cl.client_update(st, theta, 1, 0, 0.1, seed=0, n_w_samples=2)
 
 
 class TestTestLoglik:
@@ -735,13 +749,12 @@ class TestInitClient:
         grid = trapezoid_grid(1.0, 11)
         z = np.linspace(0.1, 0.9, 3)
         gram = kernel_matrix(z, z, theta.mean, SPEC)
-        st = cl.init_client(4, seqs, theta, SPEC, z, grid, gram, 2)
+        st = cl.init_client(4, seqs, theta, SPEC, z, grid, gram)
         assert st.m == pytest.approx(2 * 10 / (3 * 1.0))
         np.testing.assert_array_equal(st.phi.mean, theta.mean)
         assert st.q_u.cov is gram
         np.testing.assert_array_equal(st.q_u.mean, np.zeros(3))
         assert st.nu == 0.0
-        assert st.n_w_samples == 2
         np.testing.assert_array_equal(st.pg, np.ones(10))
         np.testing.assert_allclose(st.latent_rate, st.m / 2)
         # The sequences are held once: flat events and one slice each.
@@ -759,7 +772,7 @@ class TestInitClient:
         z = np.linspace(0.1, 0.9, 3)
         gram = kernel_matrix(z, z, theta.mean, SPEC)
         with pytest.raises(ValueError, match="no training sequences for client 5"):
-            cl.init_client(5, [], theta, SPEC, z, trapezoid_grid(1.0, 11), gram, 2)
+            cl.init_client(5, [], theta, SPEC, z, trapezoid_grid(1.0, 11), gram)
 
 
 def test_gauss_hermite_table_is_scipys():

@@ -540,9 +540,12 @@ class TestJsonl:
         '{"times": [0.1], "horizon": true}',
         '{"times": [0.1, true], "horizon": 1.0}',
         '{"times": [0.1], "marks": [1180591620717411303424], "horizon": 1.0}',
+        '{"times": [0.1, 0.2], "marks": [true, 0], "horizon": 1.0}',
+        '{"times": [0.1, 0.2], "marks": "12", "horizon": 1.0}',
     ], ids=["non-numeric-times", "scalar-times", "fractional-marks",
             "ragged-marks", "number-record", "null-record", "list-horizon",
-            "bool-horizon", "bool-times", "mark-beyond-int64"])
+            "bool-horizon", "bool-times", "mark-beyond-int64", "bool-marks",
+            "string-marks"])
     def test_malformed_record_names_line(self, tmp_path, record):
         path = tmp_path / "malformed.jsonl"
         path.write_text('{"times": [0.1], "horizon": 1.0}\n' + record + "\n")

@@ -127,6 +127,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(step_size=-0.1)
 
+    def test_aggregation_must_be_a_method(self):
+        # Caught at construction, not as an AttributeError in round 0.
+        with pytest.raises(TypeError, match="aggregation"):
+            tiny_config(aggregation="kl")
+
 
 class TestRunRound:
     def test_single_client_aggregation_identity(self):
@@ -358,7 +363,7 @@ class TestBuildClients:
             z = c.q_u.locations
             gram = kernel_matrix(z, z, server.theta.mean, c.spec)
             fresh = cl.init_client(cid, data[cid], server.theta, c.spec, z,
-                                   c.grid, gram, config.n_w_samples)
+                                   c.grid, gram)
             assert states_equal(c, fresh)
             assert c.q_u.cov.tobytes() == fresh.q_u.cov.tobytes()
 
