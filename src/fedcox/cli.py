@@ -92,15 +92,8 @@ def load_config(path=None, overrides=None) -> dict:
             loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a mapping")
-        unknown = set(loaded) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        gen = loaded.get("generate", {})
-        if gen:
-            unknown = set(gen) - _GEN_KEYS
-            if unknown:
-                raise ConfigError(f"unknown generate keys: {sorted(unknown)}")
-            cfg["generate"].update(gen)
+        _check_keys(loaded)
+        cfg["generate"].update(loaded.get("generate") or {})
         cfg.update({k: v for k, v in loaded.items() if k != "generate"})
     env_seed = os.environ.get("FEDPP_SEED")
     if env_seed is not None:
@@ -117,6 +110,33 @@ def load_config(path=None, overrides=None) -> dict:
         # A wrong type raises TypeError, a value out of range ValueError.
         raise ConfigError(str(exc)) from None
     return cfg
+
+
+def _check_keys(cfg: dict) -> None:
+    """Reject keys outside the accepted set, at the top and in ``generate``."""
+    unknown = set(cfg) - _TOP_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    gen = cfg.get("generate") or {}
+    if not isinstance(gen, dict):
+        raise ConfigError(f"generate must be a mapping, got {gen!r}")
+    unknown = set(gen) - _GEN_KEYS
+    if unknown:
+        raise ConfigError(f"unknown generate keys: {sorted(unknown)}")
+
+
+def _check_saved_config(cfg) -> None:
+    """Check a resolved config read back from a file, as :func:`load_config`
+    checks its result; every default key must be present."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a mapping, got {cfg!r}")
+    _check_keys(cfg)
+    missing = [k for k in _DEFAULT_CONFIG if k not in cfg]
+    missing += [f"generate.{k}" for k in _DEFAULT_CONFIG["generate"]
+                if k not in (cfg.get("generate") or {})]
+    if missing:
+        raise ConfigError(f"missing config keys: {missing}")
+    _validate_config(cfg)
 
 
 def _validate_config(cfg: dict) -> None:
@@ -208,6 +228,8 @@ def _read_versioned(path, what: str) -> dict:
     """Read a file written by :func:`_write_versioned`; ``what`` names it."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} file {path} does not hold a JSON object")
     version = payload.get("version")
     if version != PACKING_VERSION:
         raise ValueError(
@@ -221,9 +243,16 @@ def _gaussian_json(g: DiagGaussian) -> dict:
 
 
 def write_param_records(records, path) -> None:
+    """Write ``records``, which must share one dimension, to ``path``."""
     if not records:
         raise ValueError("parameter record list holds no records")
-    _write_versioned(path, {"dim": records[0].dim}, "records",
+    dim = records[0].dim
+    for i, rec in enumerate(records):
+        if rec.dim != dim:
+            raise ValueError(
+                f"record {i} has dimension {rec.dim}, record 0 has {dim}"
+            )
+    _write_versioned(path, {"dim": dim}, "records",
                      map(_gaussian_json, records))
 
 
@@ -278,12 +307,21 @@ def save_model(path, server, clients, cfg, horizon, train_window,
 
 
 def load_model(path):
-    """The saved run config and each client's predictive state."""
+    """The saved run config and each client's predictive state.
+
+    The config is checked by :func:`load_config`'s rules, without
+    ``FEDPP_SEED``; a failed check is a ValueError naming the file.
+    """
     payload = _read_versioned(path, "model")
     if "config" not in payload:
         raise ValueError(
             f"model file {path} has no 'config' key; retrain to record it"
         )
+    try:
+        _check_saved_config(payload["config"])
+    except (TypeError, ValueError) as exc:
+        # Not a ConfigError: a bad model file exits 1, not 2.
+        raise ValueError(f"model file {path} config: {exc}") from None
     spec = EncoderSpec(**payload["encoder"])
     clients = []
     for rec in payload["clients"]:

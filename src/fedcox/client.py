@@ -206,9 +206,7 @@ class _InducingBlocks:
 
     def __init__(self, state: ClientState, w_row: np.ndarray):
         self.params = KernelParams(w_row, state.spec)
-        self.tape_z = dk.embed_with_tape(
-            state.q_u.locations, self.params, state.spec
-        )
+        self.tape_z = dk.embed_with_tape(state.q_u.locations, self.params)
         self.h_z = self.tape_z.out
         self.d2_zz, self.k_zz = dk.rbf_block(self.h_z, self.h_z, self.params)
         self.factor, self.jitter = chol_factor_jittered(
@@ -258,7 +256,7 @@ class _SampleCache:
     def __init__(self, state: ClientState, z: _InducingBlocks,
                  times: np.ndarray):
         self.z = z
-        self.tape_t = dk.embed_with_tape(times, z.params, state.spec)
+        self.tape_t = dk.embed_with_tape(times, z.params)
         self.d2_tz, self.k_tz = dk.rbf_block(self.tape_t.out, z.h_z, z.params)
         # One batched triangular solve covers beta and alpha.
         rhs = np.concatenate(
@@ -582,8 +580,7 @@ def _sample_grad(state, c, a_t, b_t) -> np.ndarray:
     m_k += 0.5 * (gb + gb.T)
     return dk.accumulate_param_grad(
         m_k, d_k_tz, coeff_tt, c.z.k_zz, c.k_tz, c.z.d2_zz, c.d2_tz,
-        c.z.tape_z, c.tape_t, c.z.params, state.spec,
-        k_zz_jitter=c.z.jitter,
+        c.z.tape_z, c.tape_t, c.z.params, k_zz_jitter=c.z.jitter,
     )
 
 

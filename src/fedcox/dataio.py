@@ -58,7 +58,10 @@ def _integer_marks(marks) -> np.ndarray:
     Integral floats in int64's range pass (NaN and infinities fail the
     comparison); bools never do, even in a list that numpy reads as ints.
     """
-    arr = np.asarray(marks)
+    try:
+        arr = np.asarray(marks)
+    except ValueError:  # ragged, e.g. [[1], [2, 3]]
+        raise ValueError("marks must be integers") from None
     kind = arr.dtype.kind
     if kind == "f":
         ok = bool(((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))).all())

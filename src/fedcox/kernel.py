@@ -70,9 +70,13 @@ class EncoderSpec:
 
 
 class KernelParams:
-    """Flat parameter vector for the deep kernel, with named views."""
+    """Flat parameter vector for the deep kernel, with named views.
 
-    __slots__ = ("packed", "w1", "b1", "w2", "b2", "log_r", "log_l")
+    ``spec`` is the encoder shape the vector was packed for; every kernel
+    function reads the layout and ``t_norm`` from it.
+    """
+
+    __slots__ = ("packed", "spec", "w1", "b1", "w2", "b2", "log_r", "log_l")
 
     def __init__(self, packed: np.ndarray, spec: EncoderSpec):
         packed = np.asarray(packed, dtype=np.float64)
@@ -83,6 +87,7 @@ class KernelParams:
         if not np.all(np.isfinite(packed)):
             raise ValueError("packed entries must be finite")
         self.packed = packed
+        self.spec = spec
         h, d = spec.hidden_dim, spec.output_dim
         i = 0
         self.w1 = packed[i:i + h]
@@ -117,19 +122,13 @@ def init_kernel_params(spec: EncoderSpec, seed: int) -> np.ndarray:
     return p.packed
 
 
-def _as_params(params, spec: EncoderSpec) -> KernelParams:
-    if isinstance(params, KernelParams):
-        return params
-    return KernelParams(params, spec)
-
-
-def embed(times, params, spec: EncoderSpec) -> np.ndarray:
+def embed(times, p: KernelParams) -> np.ndarray:
     """Feature map ``W2 tanh(W1 (t / t_norm) + b1) + b2``.
 
     ``times`` may be a scalar or a vector; output is (output_dim,) or
     (n, output_dim) accordingly.
     """
-    out = embed_with_tape(times, params, spec).out
+    out = embed_with_tape(times, p).out
     return out[0] if np.ndim(times) == 0 else out
 
 
@@ -142,16 +141,15 @@ class EmbedTape(NamedTuple):
     x: np.ndarray  # (n,) normalized times
 
 
-def embed_with_tape(times, params, spec: EncoderSpec) -> EmbedTape:
+def embed_with_tape(times, p: KernelParams) -> EmbedTape:
     """Embeddings plus the activations required for the net VJP."""
-    p = _as_params(params, spec)
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    x = t / spec.t_norm  # (n,)
+    x = t / p.spec.t_norm  # (n,)
     act = np.tanh(np.outer(x, p.w1) + p.b1)  # (n, hidden)
     return EmbedTape(act @ p.w2.T + p.b2, act, 1.0 - act * act, x)
 
 
-def net_vjp(v, tape: EmbedTape, params, spec: EncoderSpec) -> np.ndarray:
+def net_vjp(v, tape: EmbedTape, p: KernelParams) -> np.ndarray:
     """Sum over points of v_p^T dh_p/d(net weights), packed layout.
 
     ``v`` has shape (n, out).  Exploits the two-layer structure instead of
@@ -160,7 +158,6 @@ def net_vjp(v, tape: EmbedTape, params, spec: EncoderSpec) -> np.ndarray:
         d/dW2[k,j] -> v[:,k] a[:,j];  d/db2[k] -> v[:,k]
         d/db1[j]   -> (v W2)[:,j] dact[:,j];  d/dW1[j] -> that * x
     """
-    p = _as_params(params, spec)
     u = (v @ p.w2) * tape.dact  # (n, hidden)
     g_w1 = u.T @ tape.x
     g_b1 = u.sum(axis=0)
@@ -169,15 +166,14 @@ def net_vjp(v, tape: EmbedTape, params, spec: EncoderSpec) -> np.ndarray:
     return np.concatenate([g_w1, g_b1, g_w2.ravel(), g_b2])
 
 
-def embed_with_jacobian(times, params, spec: EncoderSpec):
+def embed_with_jacobian(times, p: KernelParams):
     """Embeddings plus explicit per-point Jacobians (test/reference path).
 
     Returns ``(H, J)`` with ``J`` of shape (n, out, n_net_params); the
     production gradient path uses :func:`net_vjp` instead.
     """
-    p = _as_params(params, spec)
-    tape = embed_with_tape(times, params, spec)
-    n, h, d = tape.x.size, spec.hidden_dim, spec.output_dim
+    tape = embed_with_tape(times, p)
+    n, h, d = tape.x.size, p.spec.hidden_dim, p.spec.output_dim
     back = p.w2[None, :, :] * tape.dact[:, None, :]  # (n, d, h)
     jac_w1 = back * tape.x[:, None, None]
     jac_b1 = back
@@ -237,11 +233,10 @@ def _sqdist(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     return total
 
 
-def kernel_eval(t_i, t_j, params, spec: EncoderSpec) -> float:
+def kernel_eval(t_i, t_j, p: KernelParams) -> float:
     """Kernel value ``r * exp(-||h_i - h_j||^2 / (2 l^2))`` for one pair."""
-    p = _as_params(params, spec)
-    hi = embed(np.float64(t_i), p, spec)
-    hj = embed(np.float64(t_j), p, spec)
+    hi = embed(np.float64(t_i), p)
+    hj = embed(np.float64(t_j), p)
     d2 = float(np.sum((hi - hj) ** 2))
     ell = p.length_scale
     return p.r * float(np.exp(-0.5 * d2 / (ell * ell)))
@@ -254,26 +249,24 @@ def rbf_block(ha: np.ndarray, hb: np.ndarray, params: KernelParams):
     return d2, params.r * np.exp(-0.5 * d2 / params.length_scale ** 2)
 
 
-def kernel_matrix(times_a, times_b, params, spec: EncoderSpec) -> np.ndarray:
+def kernel_matrix(times_a, times_b, p: KernelParams) -> np.ndarray:
     """Cross-kernel matrix with entry (i, j) = k(a_i, b_j)."""
-    p = _as_params(params, spec)
-    ha = embed(np.atleast_1d(times_a), p, spec)
-    hb = embed(np.atleast_1d(times_b), p, spec)
+    ha = embed(np.atleast_1d(times_a), p)
+    hb = embed(np.atleast_1d(times_b), p)
     return rbf_block(ha, hb, p)[1]
 
 
-def kernel_grad(t_i, t_j, params, spec: EncoderSpec) -> np.ndarray:
+def kernel_grad(t_i, t_j, p: KernelParams) -> np.ndarray:
     """Exact gradient of :func:`kernel_eval` w.r.t. the packed vector."""
-    p = _as_params(params, spec)
-    tape = embed_with_tape(np.array([t_i, t_j], dtype=np.float64), p, spec)
+    tape = embed_with_tape(np.array([t_i, t_j], dtype=np.float64), p)
     dh = tape.out[0] - tape.out[1]
     d2 = float(np.sum(dh * dh))
     ell = p.length_scale
     k = p.r * float(np.exp(-0.5 * d2 / (ell * ell)))
-    grad = np.empty(spec.n_params)
+    grad = np.empty(p.spec.n_params)
     scale = -k / (ell * ell)
     v = np.stack([scale * dh, -scale * dh])  # chain through h_i and h_j
-    grad[:spec.n_net_params] = net_vjp(v, tape, p, spec)
+    grad[:p.spec.n_net_params] = net_vjp(v, tape, p)
     grad[-2] = k  # d/dlog_r: kernel scales with e^{log_r}
     grad[-1] = k * d2 / (ell * ell)
     return grad
@@ -289,8 +282,7 @@ def accumulate_param_grad(
     d2_tz,
     tape_z: EmbedTape,
     tape_t: EmbedTape,
-    params,
-    spec: EncoderSpec,
+    p: KernelParams,
     k_zz_jitter: float,
 ) -> np.ndarray:
     """Chain scalar-per-entry kernel sensitivities into a packed gradient.
@@ -308,10 +300,9 @@ def accumulate_param_grad(
     near-singular grams whose small eigenvalues are jitter-dominated the
     correction is order M, not order jitter.
     """
-    p = _as_params(params, spec)
     ell2 = p.length_scale ** 2
     h_z, h_t = tape_z.out, tape_t.out
-    grad = np.zeros(spec.n_params)
+    grad = np.zeros(p.spec.n_params)
 
     # Each entry's coefficient times its kernel value.
     ck_zz = coeff_zz * k_zz
@@ -339,7 +330,7 @@ def accumulate_param_grad(
     # tz block: rows are times, columns inducing points
     v_t = c_tz.sum(axis=1)[:, None] * h_t - c_tz @ h_z
     v_z -= c_tz.T @ h_t - c_tz.sum(axis=0)[:, None] * h_z
-    grad[:spec.n_net_params] = (
-        net_vjp(v_z, tape_z, p, spec) + net_vjp(v_t, tape_t, p, spec)
+    grad[:p.spec.n_net_params] = (
+        net_vjp(v_z, tape_z, p) + net_vjp(v_t, tape_t, p)
     )
     return grad

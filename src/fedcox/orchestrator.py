@@ -21,7 +21,7 @@ import numpy as np
 
 from . import client as cl
 from .aggregation import AggregationMethod, aggregate
-from .kernel import EncoderSpec, init_kernel_params, kernel_matrix
+from .kernel import EncoderSpec, KernelParams, init_kernel_params, kernel_matrix
 from .numerics import DiagGaussian, check_setting, trapezoid_grid
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "RoundMetrics",
     "ClientPayload",
     "RoundError",
-    "init_server",
     "build_clients",
     "sample_participants",
     "run_round",
@@ -54,6 +53,7 @@ _LOWER_BOUNDS = {
     "local_epochs": 1, "batch_size": 1, "step_size": 0.0,
     "straggle_period": 1, "n_inducing": 1, "quad_nodes": 2,
     "n_w_samples": 1, "hidden_dim": 1, "embed_dim": 1, "n_workers": 1,
+    "seed": 0,
 }
 
 
@@ -119,21 +119,6 @@ class RoundMetrics:
     wall_time_ms: int
 
 
-def encoder_spec(config: FedConfig, horizon: float) -> EncoderSpec:
-    return EncoderSpec(
-        hidden_dim=config.hidden_dim,
-        output_dim=config.embed_dim,
-        t_norm=horizon,
-    )
-
-
-def init_server(config: FedConfig, horizon: float) -> ServerState:
-    """Prior mean from the deterministic kernel init, unit variances."""
-    spec = encoder_spec(config, horizon)
-    mu = init_kernel_params(spec, config.seed)
-    return ServerState(theta=DiagGaussian(mu, np.ones(spec.n_params)))
-
-
 def build_clients(config: FedConfig, train_sets, horizon: float,
                   train_window: float | None = None):
     """One client per training set, all sharing inducing grid and encoder.
@@ -141,8 +126,9 @@ def build_clients(config: FedConfig, train_sets, horizon: float,
     ``train_window`` bounds the observed part of the timeline (the
     quadrature grid and the likelihood integral); inducing locations span
     the full horizon so the model extrapolates to evaluation intervals.
-    A client without training sequences has no event rate to fit; if
-    there are any, ValueError names each of them.
+    The prior theta has the deterministic kernel init as its mean and
+    unit variances.  A client without training sequences has no event
+    rate to fit; if there are any, ValueError names each of them.
     """
     if len(train_sets) != config.n_clients:
         raise ValueError(
@@ -155,18 +141,18 @@ def build_clients(config: FedConfig, train_sets, horizon: float,
         )
     if train_window is None:
         train_window = horizon
-    spec = encoder_spec(config, horizon)
-    server = init_server(config, horizon)
+    spec = EncoderSpec(config.hidden_dim, config.embed_dim, t_norm=horizon)
+    theta = DiagGaussian(init_kernel_params(spec, config.seed),
+                         np.ones(spec.n_params))
     inducing = np.linspace(0.0, horizon, config.n_inducing + 2)[1:-1]
     grid = trapezoid_grid(train_window, config.quad_nodes)
     # Every client starts q(u) at the same prior gram; each gets a copy.
-    k_zz = kernel_matrix(inducing, inducing, server.theta.mean, spec)
+    k_zz = kernel_matrix(inducing, inducing, KernelParams(theta.mean, spec))
     clients = [
-        cl.init_client(cid, seqs, server.theta, spec, inducing, grid,
-                       k_zz.copy())
+        cl.init_client(cid, seqs, theta, spec, inducing, grid, k_zz.copy())
         for cid, seqs in enumerate(train_sets)
     ]
-    return server, clients
+    return ServerState(theta=theta), clients
 
 
 def sample_participants(round_index: int, config: FedConfig) -> tuple:

@@ -133,6 +133,26 @@ class TestConfig:
         assert load_config(str(path), {"seed": 123})["seed"] == 123
 
 
+    @pytest.mark.parametrize("argv, env", [
+        (["train", "--seed", "-1"], None),
+        (["train"], "-3"),
+        (["generate", "--seed", "-1"], None),
+    ], ids=["train-flag", "train-env", "generate-flag"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, argv,
+                                   env):
+        if env is None:
+            monkeypatch.delenv("FEDPP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FEDPP_SEED", env)
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            where = ["--data", str(out), "--metrics", str(out / "m.csv")]
+        else:
+            where = ["--out", str(out)]
+        assert main(argv + where) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unset_keys_take_fed_config_defaults(self, monkeypatch):
         monkeypatch.delenv("FEDPP_SEED", raising=False)
         assert fed_config(load_config()) == FedConfig(
@@ -144,6 +164,7 @@ class TestConfig:
         ({"n_w_samples": "4"}, "n_w_samples"),
         ({"generate": {"m": None}}, "generate.m"),
         ({"seed": "abc"}, "seed"),
+        ({"seed": -1}, "seed"),
         ({"eval_all": "no"}, "eval_all"),
         ({"generate": {"kernels": []}}, "generate.kernels"),
         ({"generate": {"kernels": [[1.5]]}}, "generate.kernels"),
@@ -186,7 +207,7 @@ class TestConfig:
         ({"mmd_delta": -1.0}, "mmd_delta"),
         ({"aggregation": "w2", "mmd_eta": math.inf}, "mmd_eta"),
     ], ids=["rounds-null", "n_w_samples-string", "generate-m-null",
-            "seed-string", "eval_all-string", "kernels-empty",
+            "seed-string", "seed-negative", "eval_all-string", "kernels-empty",
             "kernels-short-pair", "kernels-zero-variance", "kernels-scalar",
             "train_seqs-float", "kernels-under-resolved",
             "rounds-float", "clients-float", "participants-float",
@@ -625,6 +646,50 @@ class TestEval:
         assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.pop("split"), "missing config keys: ['split']"),
+        (lambda cfg: cfg["generate"].pop("m"),
+         "missing config keys: ['generate.m']"),
+        (lambda cfg: cfg.update(clients="2"), "n_clients must be an integer"),
+        (lambda cfg: cfg.update(seed=-1), "seed must be >= 0"),
+        (lambda cfg: cfg.update(colour="red"),
+         "unknown config keys: ['colour']"),
+    ], ids=["no-split", "no-generate-m", "clients-string", "seed-negative",
+            "unknown-key"])
+    def test_bad_saved_config_rejected(self, tmp_path, config_path, data_dir,
+                                       capsys, edit, message):
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        edit(payload["config"])
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
+        captured = capsys.readouterr()
+        assert f"model file {model} config: {message}" in captured.err
+        assert "test loglik" not in captured.out
+
+    def test_env_seed_not_applied_to_saved_config(self, tmp_path, config_path,
+                                                  data_dir, monkeypatch,
+                                                  capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        monkeypatch.setenv("FEDPP_SEED", "-3")
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
+        assert "mean test loglik" in capsys.readouterr().out
+
+    def test_model_not_a_json_object_rejected(self, tmp_path, data_dir,
+                                              capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[1, 2]\n")
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
+        assert (f"model file {model} does not hold a JSON object"
+                in capsys.readouterr().err)
+
     def test_missing_model_exits_2(self, tmp_path, data_dir):
         assert main(["eval", "--model", str(tmp_path / "nope.json"),
                      "--data", data_dir]) == 2
@@ -719,10 +784,29 @@ class TestAggregateCommand:
             write_param_records([], tmp_path / "records.json")
         assert list(tmp_path.iterdir()) == []
 
+    def test_mixed_dimensions_fail_before_any_file(self, tmp_path):
+        records = [DiagGaussian(np.zeros(1), np.ones(1)),
+                   DiagGaussian(np.zeros(1), np.ones(1)),
+                   DiagGaussian(np.zeros(2), np.ones(2))]
+        with pytest.raises(ValueError,
+                           match="record 2 has dimension 2, record 0 has 1"):
+            write_param_records(records, tmp_path / "records.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_method_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["aggregate", "--method", "median", "--in", "x", "--out", "y"])
         assert err.value.code == 2
+
+    def test_records_not_a_json_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "records.json"
+        path.write_text("[1, 2]\n")
+        out = tmp_path / "o.json"
+        assert main(["aggregate", "--method", "kl", "--in", str(path),
+                     "--out", str(out)]) == 1
+        assert (f"parameter record file {path} does not hold a JSON object"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "records.json"

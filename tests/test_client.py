@@ -10,7 +10,12 @@ from scipy.special import expit, roots_hermite
 
 import fedcox.client as cl
 from fedcox.dataio import EventSequence
-from fedcox.kernel import EncoderSpec, init_kernel_params, kernel_matrix
+from fedcox.kernel import (
+    EncoderSpec,
+    KernelParams,
+    init_kernel_params,
+    kernel_matrix,
+)
 from fedcox.numerics import DiagGaussian, kl_diag, solve_with, trapezoid_grid
 
 SPEC = EncoderSpec(hidden_dim=2, output_dim=2, t_norm=1.0)
@@ -85,7 +90,7 @@ class TestPosteriorMoments:
         st = make_state(rng, nu=0.7)
         w = st.phi.mean
         z = st.q_u.locations
-        k_zz = kernel_matrix(z, z, w, st.spec)
+        k_zz = kernel_matrix(z, z, KernelParams(w, st.spec))
         st.q_u = cl.InducingPosterior(
             locations=z, mean=np.full(z.size, st.nu), cov=k_zz
         )
@@ -103,8 +108,8 @@ class TestPosteriorMoments:
         )
         w = st.phi.mean
         t = 0.27
-        k11 = kernel_matrix([0.5], [0.5], w, st.spec)[0, 0]
-        kt1 = kernel_matrix([t], [0.5], w, st.spec)[0, 0]
+        k11 = kernel_matrix([0.5], [0.5], KernelParams(w, st.spec))[0, 0]
+        kt1 = kernel_matrix([t], [0.5], KernelParams(w, st.spec))[0, 0]
         expected_mean = st.nu + kt1 / k11 * (1.2 - st.nu)
         expected_var = k11 - kt1**2 / k11 + kt1**2 * 0.6 / k11**2
         # k(t, t) = k(z, z) because the diagonal is constant r
@@ -222,7 +227,7 @@ class TestUpdateInducing:
         w = st.phi.mean
         cl.update_inducing(st, cl.sample_blocks(st, w))
         z = st.q_u.locations
-        k_zz = kernel_matrix(z, z, w, st.spec)
+        k_zz = kernel_matrix(z, z, KernelParams(w, st.spec))
         np.testing.assert_allclose(st.q_u.mean, st.nu, atol=1e-8)
         np.testing.assert_allclose(st.q_u.cov, k_zz, rtol=1e-5, atol=1e-8)
 
@@ -295,16 +300,16 @@ def reference_elbo(state, theta, noise_seed):
     w = state.phi.mean + np.sqrt(state.phi.var) * eps[0]
 
     z = state.q_u.locations
-    k_zz = kernel_matrix(z, z, w, state.spec)
+    k_zz = kernel_matrix(z, z, KernelParams(w, state.spec))
     _, jitter = chol_factor_jittered(k_zz, baseline=True)
     k_zz = k_zz + jitter * np.eye(z.size)
     k_inv = np.linalg.inv(k_zz)
-    r = kernel_matrix([0.1], [0.1], w, state.spec)[0, 0]
+    r = kernel_matrix([0.1], [0.1], KernelParams(w, state.spec))[0, 0]
     mu_u, cov_u = state.q_u.mean, state.q_u.cov
     nu = state.nu
 
     def moments(t):
-        k_t = kernel_matrix([t], z, w, state.spec)[0]
+        k_t = kernel_matrix([t], z, KernelParams(w, state.spec))[0]
         mean = nu + k_t @ k_inv @ (mu_u - nu)
         var = r - k_t @ k_inv @ k_t + k_t @ k_inv @ cov_u @ k_inv @ k_t
         return mean, var
@@ -462,7 +467,7 @@ class TestSharedSweepBlocks:
         ell = math.exp(w[-1])
         assert ell ** 2 != ell * ell
         z = st.q_u.locations
-        assert (kernel_matrix(z, z, w, spec).tobytes()
+        assert (kernel_matrix(z, z, KernelParams(w, spec)).tobytes()
                 == cl._InducingBlocks(st, w).k_zz.tobytes())
 
     def test_shared_sweep_bit_identical_to_unshared(self):
@@ -748,7 +753,7 @@ class TestInitClient:
         theta = random_theta(rng)
         grid = trapezoid_grid(1.0, 11)
         z = np.linspace(0.1, 0.9, 3)
-        gram = kernel_matrix(z, z, theta.mean, SPEC)
+        gram = kernel_matrix(z, z, KernelParams(theta.mean, SPEC))
         st = cl.init_client(4, seqs, theta, SPEC, z, grid, gram)
         assert st.m == pytest.approx(2 * 10 / (3 * 1.0))
         np.testing.assert_array_equal(st.phi.mean, theta.mean)
@@ -770,7 +775,7 @@ class TestInitClient:
         # divide by zero in the first client_update.
         theta = random_theta(np.random.default_rng(27))
         z = np.linspace(0.1, 0.9, 3)
-        gram = kernel_matrix(z, z, theta.mean, SPEC)
+        gram = kernel_matrix(z, z, KernelParams(theta.mean, SPEC))
         with pytest.raises(ValueError, match="no training sequences for client 5"):
             cl.init_client(5, [], theta, SPEC, z, trapezoid_grid(1.0, 11), gram)
 

@@ -529,28 +529,31 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2"):
             load_jsonl(path)
 
-    @pytest.mark.parametrize("record", [
-        '{"times": ["x"], "horizon": 1.0}',
-        '{"times": 0.5, "horizon": 1.0}',
-        '{"times": [0.1, 0.2], "marks": [1.5, 2.7], "horizon": 1.0}',
-        '{"times": [0.1, 0.2], "marks": [[1], [2, 3]], "horizon": 1.0}',
-        '5',
-        'null',
-        '{"times": [0.1], "horizon": [1]}',
-        '{"times": [0.1], "horizon": true}',
-        '{"times": [0.1, true], "horizon": 1.0}',
-        '{"times": [0.1], "marks": [1180591620717411303424], "horizon": 1.0}',
-        '{"times": [0.1, 0.2], "marks": [true, 0], "horizon": 1.0}',
-        '{"times": [0.1, 0.2], "marks": "12", "horizon": 1.0}',
+    @pytest.mark.parametrize("record, named", [
+        ('{"times": ["x"], "horizon": 1.0}', "times"),
+        ('{"times": 0.5, "horizon": 1.0}', "times"),
+        ('{"times": [0.1, 0.2], "marks": [1.5, 2.7], "horizon": 1.0}', "marks"),
+        ('{"times": [0.1, 0.2], "marks": [[1], [2, 3]], "horizon": 1.0}',
+         "marks"),
+        ('5', "JSON object"),
+        ('null', "JSON object"),
+        ('{"times": [0.1], "horizon": [1]}', "horizon"),
+        ('{"times": [0.1], "horizon": true}', "horizon"),
+        ('{"times": [0.1, true], "horizon": 1.0}', "times"),
+        ('{"times": [0.1], "marks": [1180591620717411303424], "horizon": 1.0}',
+         "marks"),
+        ('{"times": [0.1, 0.2], "marks": [true, 0], "horizon": 1.0}', "marks"),
+        ('{"times": [0.1, 0.2], "marks": "12", "horizon": 1.0}', "marks"),
     ], ids=["non-numeric-times", "scalar-times", "fractional-marks",
             "ragged-marks", "number-record", "null-record", "list-horizon",
             "bool-horizon", "bool-times", "mark-beyond-int64", "bool-marks",
             "string-marks"])
-    def test_malformed_record_names_line(self, tmp_path, record):
+    def test_malformed_record_names_line(self, tmp_path, record, named):
         path = tmp_path / "malformed.jsonl"
         path.write_text('{"times": [0.1], "horizon": 1.0}\n' + record + "\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2") as err:
             load_jsonl(path)
+        assert named in str(err.value)
 
     def test_integral_float_marks_accepted(self, tmp_path):
         path = tmp_path / "marks.jsonl"

@@ -115,8 +115,8 @@ class TestEmbed:
     def test_embed_is_the_tape_output(self, times):
         spec = tiny_spec(t_norm=2.5)
         packed = random_params(spec, 12)
-        out = embed_with_tape(times, packed, spec).out
-        got = embed(times, packed, spec)
+        out = embed_with_tape(times, KernelParams(packed, spec)).out
+        got = embed(times, KernelParams(packed, spec))
         want = out[0] if np.ndim(times) == 0 else out
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -125,12 +125,14 @@ class TestEmbed:
         spec = tiny_spec()
         packed = np.zeros(spec.n_params)
         for t in (0.0, 0.3, 1.0):
-            np.testing.assert_array_equal(embed(t, packed, spec), np.zeros(2))
+            np.testing.assert_array_equal(
+                embed(t, KernelParams(packed, spec)), np.zeros(2)
+            )
 
     def test_identity_like_net_at_zero(self):
         spec = EncoderSpec(hidden_dim=1, output_dim=1)
         packed = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        assert embed(0.0, packed, spec) == pytest.approx(0.0)
+        assert embed(0.0, KernelParams(packed, spec)) == pytest.approx(0.0)
 
     def test_matches_straight_line_reference(self):
         spec = tiny_spec(t_norm=2.5)
@@ -138,7 +140,7 @@ class TestEmbed:
         packed = random_params(spec, 4)
         for t in rng.uniform(0, 2.5, 10):
             np.testing.assert_allclose(
-                embed(t, packed, spec),
+                embed(t, KernelParams(packed, spec)),
                 embed_reference(t, packed, spec),
                 rtol=1e-13,
             )
@@ -147,13 +149,16 @@ class TestEmbed:
         spec = tiny_spec()
         packed = random_params(spec, 8)
         times = np.array([0.13, 0.76])
-        _, jac = embed_with_jacobian(times, packed, spec)
+        _, jac = embed_with_jacobian(times, KernelParams(packed, spec))
         h = 1e-6
         for d in range(spec.n_net_params):
             up, down = packed.copy(), packed.copy()
             up[d] += h
             down[d] -= h
-            fd = (embed(times, up, spec) - embed(times, down, spec)) / (2 * h)
+            fd = (
+                embed(times, KernelParams(up, spec))
+                - embed(times, KernelParams(down, spec))
+            ) / (2 * h)
             np.testing.assert_allclose(jac[:, :, d], fd, atol=1e-7)
 
 
@@ -162,7 +167,7 @@ class TestKernelEval:
         spec = tiny_spec()
         packed = random_params(spec, 1)
         packed[-2] = 0.37
-        assert kernel_eval(0.4, 0.4, packed, spec) == pytest.approx(
+        assert kernel_eval(0.4, 0.4, KernelParams(packed, spec)) == pytest.approx(
             np.exp(0.37), rel=1e-14
         )
 
@@ -172,7 +177,9 @@ class TestKernelEval:
         packed[-1] = 30.0  # enormous length scale
         r = np.exp(packed[-2])
         for a, b in [(0.0, 1.0), (0.1, 0.9), (0.5, 0.6)]:
-            assert kernel_eval(a, b, packed, spec) == pytest.approx(r, rel=1e-10)
+            assert kernel_eval(
+                a, b, KernelParams(packed, spec)
+            ) == pytest.approx(r, rel=1e-10)
 
     def test_matches_direct_formula(self):
         spec = tiny_spec()
@@ -185,7 +192,7 @@ class TestKernelEval:
             expected = np.exp(packed[-2]) * np.exp(
                 -np.sum((ha - hb) ** 2) / (2 * np.exp(2 * packed[-1]))
             )
-            assert kernel_eval(a, b, packed, spec) == pytest.approx(
+            assert kernel_eval(a, b, KernelParams(packed, spec)) == pytest.approx(
                 expected, rel=1e-12
             )
 
@@ -196,16 +203,16 @@ class TestKernelEval:
         rng = np.random.default_rng(6)
         for _ in range(20):
             a, b = rng.uniform(0, 1, 2)
-            kab = kernel_eval(a, b, packed, spec)
-            assert kab == kernel_eval(b, a, packed, spec)
+            kab = kernel_eval(a, b, KernelParams(packed, spec))
+            assert kab == kernel_eval(b, a, KernelParams(packed, spec))
             assert 0.0 < kab <= r * (1 + 1e-12)
 
     def test_nonstationary(self):
         # Equal raw gaps, different kernel values for a generic net.
         spec = tiny_spec()
         packed = random_params(spec, 12)
-        k1 = kernel_eval(0.1, 0.3, packed, spec)
-        k2 = kernel_eval(0.6, 0.8, packed, spec)
+        k1 = kernel_eval(0.1, 0.3, KernelParams(packed, spec))
+        k2 = kernel_eval(0.6, 0.8, KernelParams(packed, spec))
         assert abs(k1 - k2) > 1e-6
 
 
@@ -213,7 +220,7 @@ class TestKernelMatrix:
     def test_single_point(self):
         spec = tiny_spec()
         packed = random_params(spec, 7)
-        m = kernel_matrix([0.4], [0.4], packed, spec)
+        m = kernel_matrix([0.4], [0.4], KernelParams(packed, spec))
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(np.exp(packed[-2]), rel=1e-14)
 
@@ -221,7 +228,7 @@ class TestKernelMatrix:
         spec = tiny_spec()
         packed = random_params(spec, 9)
         times = np.sort(np.random.default_rng(9).uniform(0, 1, 32))
-        k = kernel_matrix(times, times, packed, spec)
+        k = kernel_matrix(times, times, KernelParams(packed, spec))
         np.testing.assert_allclose(k, k.T, atol=1e-14)
         assert np.linalg.eigvalsh(k).min() >= -1e-8
 
@@ -231,8 +238,8 @@ class TestKernelMatrix:
         a = np.linspace(0.1, 0.9, 5)
         b = np.array([0.2, 0.5, 0.7])
         np.testing.assert_allclose(
-            kernel_matrix(a, b, packed, spec),
-            kernel_matrix(b, a, packed, spec).T,
+            kernel_matrix(a, b, KernelParams(packed, spec)),
+            kernel_matrix(b, a, KernelParams(packed, spec)).T,
             rtol=1e-14,
         )
 
@@ -241,11 +248,11 @@ class TestKernelMatrix:
         packed = random_params(spec, 11)
         a = np.array([0.15, 0.62])
         b = np.array([0.33, 0.48, 0.91])
-        k = kernel_matrix(a, b, packed, spec)
+        k = kernel_matrix(a, b, KernelParams(packed, spec))
         for i in range(2):
             for j in range(3):
                 assert k[i, j] == pytest.approx(
-                    kernel_eval(a[i], b[j], packed, spec), rel=1e-13
+                    kernel_eval(a[i], b[j], KernelParams(packed, spec)), rel=1e-13
                 )
 
 
@@ -277,13 +284,15 @@ class TestKernelGrad:
     def test_log_r_component_equals_kernel(self):
         spec = tiny_spec()
         packed = random_params(spec, 13)
-        g = kernel_grad(0.2, 0.7, packed, spec)
-        assert g[-2] == pytest.approx(kernel_eval(0.2, 0.7, packed, spec), rel=1e-13)
+        g = kernel_grad(0.2, 0.7, KernelParams(packed, spec))
+        assert g[-2] == pytest.approx(
+            kernel_eval(0.2, 0.7, KernelParams(packed, spec)), rel=1e-13
+        )
 
     def test_coincident_inputs(self):
         spec = tiny_spec()
         packed = random_params(spec, 14)
-        g = kernel_grad(0.5, 0.5, packed, spec)
+        g = kernel_grad(0.5, 0.5, KernelParams(packed, spec))
         expected = np.zeros(spec.n_params)
         expected[-2] = np.exp(packed[-2])
         np.testing.assert_allclose(g, expected, atol=1e-14)
@@ -295,7 +304,7 @@ class TestKernelGrad:
         for trial in range(100):
             packed = rng.standard_normal(spec.n_params) * 0.8
             a, b = rng.uniform(0, 1, 2)
-            g = kernel_grad(a, b, packed, spec)
+            g = kernel_grad(a, b, KernelParams(packed, spec))
             h = 1e-5
             fd = np.empty_like(g)
             for d in range(spec.n_params):
@@ -303,7 +312,8 @@ class TestKernelGrad:
                 up[d] += h
                 down[d] -= h
                 fd[d] = (
-                    kernel_eval(a, b, up, spec) - kernel_eval(a, b, down, spec)
+                    kernel_eval(a, b, KernelParams(up, spec))
+                    - kernel_eval(a, b, KernelParams(down, spec))
                 ) / (2 * h)
             # Relative error 1e-4 with an absolute 1e-8 floor (FD noise on
             # exactly-zero coordinates, e.g. the shared output bias).

@@ -7,7 +7,12 @@ import pytest
 import fedcox.client as cl
 from fedcox.aggregation import AggregationMethod
 from fedcox.dataio import EventSequence
-from fedcox.kernel import kernel_matrix
+from fedcox.kernel import (
+    EncoderSpec,
+    KernelParams,
+    init_kernel_params,
+    kernel_matrix,
+)
 from fedcox.numerics import DiagGaussian
 from fedcox.orchestrator import (
     ClientPayload,
@@ -126,6 +131,12 @@ class TestConfigValidation:
             tiny_config(straggle_period=0)
         with pytest.raises(ValueError):
             tiny_config(step_size=-0.1)
+
+    def test_negative_seed_rejected(self):
+        # Caught at construction, not by numpy inside the prior's init.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            tiny_config(seed=-1)
+        assert tiny_config(seed=0).seed == 0
 
     def test_aggregation_must_be_a_method(self):
         # Caught at construction, not as an AttributeError in round 0.
@@ -342,12 +353,30 @@ class TestRunTraining:
 
 
 class TestBuildClients:
+    def test_prior_is_the_kernel_init_with_unit_variances(self):
+        rng = np.random.default_rng(14)
+        config = tiny_config(n_clients=3, hidden_dim=3, embed_dim=2)
+        server, clients = build_clients(config, tiny_dataset(rng, 3, 2, 2.5),
+                                        2.5)
+        spec = EncoderSpec(hidden_dim=3, output_dim=2, t_norm=2.5)
+        theta = DiagGaussian(init_kernel_params(spec, config.seed),
+                             np.ones(spec.n_params))
+        assert server.round == 0
+        assert server.theta.mean.tobytes() == theta.mean.tobytes()
+        assert server.theta.var.tobytes() == theta.var.tobytes()
+        for c in clients:
+            assert c.spec == spec
+            assert c.phi.mean.tobytes() == theta.mean.tobytes()
+            assert c.phi.var.tobytes() == theta.var.tobytes()
+
     def test_each_client_owns_the_prior_gram(self):
         rng = np.random.default_rng(15)
         config = tiny_config(n_clients=3)
         server, clients = build_clients(config, tiny_dataset(rng, 3), 1.0)
         z = clients[0].q_u.locations
-        gram = kernel_matrix(z, z, server.theta.mean, clients[0].spec)
+        gram = kernel_matrix(
+            z, z, KernelParams(server.theta.mean, clients[0].spec)
+        )
         for c in clients:
             assert c.q_u.cov.tobytes() == gram.tobytes()
         clients[0].q_u.cov[0, 0] += 1.0
@@ -361,7 +390,7 @@ class TestBuildClients:
         server, clients = build_clients(config, data, 1.0)
         for cid, c in enumerate(clients):
             z = c.q_u.locations
-            gram = kernel_matrix(z, z, server.theta.mean, c.spec)
+            gram = kernel_matrix(z, z, KernelParams(server.theta.mean, c.spec))
             fresh = cl.init_client(cid, data[cid], server.theta, c.spec, z,
                                    c.grid, gram)
             assert states_equal(c, fresh)
