@@ -15,9 +15,9 @@ import logging
 import os
 import secrets
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import client as cl
@@ -30,7 +30,7 @@ from .aggregation import (
 )
 from .kernel import PACKING_VERSION, EncoderSpec
 from .numerics import DiagGaussian, check_setting
-from .orchestrator import FedConfig, run_training
+from .orchestrator import FedConfig, heldout_loglik, mean_finite, run_training
 
 __all__ = ["main", "load_config", "read_param_records", "write_param_records"]
 
@@ -224,22 +224,69 @@ def _write_versioned(path, payload: dict, last_key: str, items) -> None:
         raise
 
 
-def _read_versioned(path, what: str) -> dict:
-    """Read a file written by :func:`_write_versioned`; ``what`` names it."""
+def _read_versioned(path, src: str, keys) -> list:
+    """The values of ``keys`` in a file written by :func:`_write_versioned`.
+
+    ``src`` names the file in errors.  Beside the packing version the file
+    must hold exactly ``keys`` (:func:`_fields`).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
-        raise ValueError(f"{what} file {path} does not hold a JSON object")
+        raise ValueError(f"{src} does not hold a JSON object")
     version = payload.get("version")
     if version != PACKING_VERSION:
         raise ValueError(
-            f"{what} version {version!r} does not match {PACKING_VERSION!r}"
+            f"{src} version {version!r} does not match {PACKING_VERSION!r}"
         )
-    return payload
+    return _fields(payload, ("version", *keys), src, "")[1:]
+
+
+def _fields(node, keys, src: str, where: str) -> list:
+    """The values of ``keys`` in ``node``, a JSON object of exactly those keys.
+
+    ``where`` is the key path of ``node`` in the file ``src`` names ("" at
+    the top).  A node that is not an object, a missing key or an unknown
+    key is a ValueError naming the file and the key path.
+    """
+    if not isinstance(node, dict):
+        raise ValueError(f"{src} {where} is not a JSON object")
+    prefix = f"{where}." if where else ""
+    missing = [prefix + key for key in keys if key not in node]
+    if missing:
+        raise ValueError(f"{src} has no {missing[0]!r} key")
+    unknown = [prefix + key for key in sorted(set(node) - set(keys))]
+    if unknown:
+        raise ValueError(f"{src} has unknown keys {unknown}")
+    return [node[key] for key in keys]
+
+
+def _elements(node, src: str, where: str) -> list:
+    """``(key path, element)`` for each element of the JSON array ``node``."""
+    if not isinstance(node, list):
+        raise ValueError(f"{src} {where} is not a JSON array")
+    return [(f"{where}[{i}]", item) for i, item in enumerate(node)]
+
+
+@contextmanager
+def _naming(src: str, where: str):
+    """Turn a TypeError or ValueError into a ValueError naming the file and
+    the key path of the value being read."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{src} {where}: {exc}") from None
 
 
 def _gaussian_json(g: DiagGaussian) -> dict:
     return {"mean": g.mean.tolist(), "var": g.var.tolist()}
+
+
+def _read_gaussian(node, src: str, where: str) -> DiagGaussian:
+    """The record that :func:`_gaussian_json` wrote at ``where``."""
+    mean, var = _fields(node, ("mean", "var"), src, where)
+    with _naming(src, where):
+        return DiagGaussian(mean, var)
 
 
 def write_param_records(records, path) -> None:
@@ -257,16 +304,21 @@ def write_param_records(records, path) -> None:
 
 
 def read_param_records(path) -> list:
-    payload = _read_versioned(path, "parameter record")
-    dim = payload["dim"]
+    """The records that :func:`write_param_records` wrote to ``path``."""
+    src = f"parameter record file {path}"
+    dim, items = _read_versioned(path, src, ("dim", "records"))
+    with _naming(src, "dim"):
+        check_setting("dim", dim, int, low=1)
     records = []
-    for i, rec in enumerate(payload["records"]):
-        g = DiagGaussian(np.asarray(rec["mean"]), np.asarray(rec["var"]))
+    for where, item in _elements(items, src, "records"):
+        g = _read_gaussian(item, src, where)
         if g.dim != dim:
-            raise ValueError(f"record {i} has dimension {g.dim}, header says {dim}")
+            raise ValueError(
+                f"{src} {where} has dimension {g.dim}, header says {dim}"
+            )
         records.append(g)
     if not records:
-        raise ValueError("parameter record file holds no records")
+        raise ValueError(f"{src} holds no records")
     return records
 
 
@@ -288,6 +340,27 @@ def _client_json(c) -> dict:
     }
 
 
+def _read_client(node, spec, src: str, where: str) -> cl.PredictiveState:
+    """The client that :func:`_client_json` wrote at ``where``."""
+    cid, m, nu, phi, inducing = _fields(
+        node, ("id", "m", "nu", "phi", "inducing"), src, where
+    )
+    q_u = _fields(inducing, ("locations", "mean", "cov"), src,
+                  f"{where}.inducing")
+    phi = _read_gaussian(phi, src, f"{where}.phi")
+    with _naming(src, where):
+        check_setting("client id", cid, int, low=0)
+        check_setting(f"client {cid} m", m, float, low=0, strict=True)
+        check_setting(f"client {cid} nu", nu, float)
+        return cl.PredictiveState(id=cid, spec=spec, m=m, nu=nu, phi=phi,
+                                  q_u=cl.InducingPosterior(*q_u))
+
+
+# The keys of a model file, after the packing version, in writing order.
+_MODEL_KEYS = ("config", "horizon", "train_window", "eval_interval",
+               "encoder", "theta", "round", "clients")
+
+
 def save_model(path, server, clients, cfg, horizon, train_window,
                eval_interval):
     """Write the trained model and the resolved config (``cfg``) of its run.
@@ -307,34 +380,34 @@ def save_model(path, server, clients, cfg, horizon, train_window,
 
 
 def load_model(path):
-    """The saved run config and each client's predictive state.
+    """The saved run config, each client's predictive state, the horizon
+    and the evaluation interval ``(start, end)``.
 
-    The config is checked by :func:`load_config`'s rules, without
-    ``FEDPP_SEED``; a failed check is a ValueError naming the file.
+    The file must hold what :func:`save_model` writes and nothing else; a
+    missing, unknown or malformed value is a ValueError naming the file
+    and the key path.  The config is checked by :func:`load_config`'s
+    rules, without ``FEDPP_SEED``.
     """
-    payload = _read_versioned(path, "model")
-    if "config" not in payload:
-        raise ValueError(
-            f"model file {path} has no 'config' key; retrain to record it"
-        )
-    try:
-        _check_saved_config(payload["config"])
-    except (TypeError, ValueError) as exc:
-        # Not a ConfigError: a bad model file exits 1, not 2.
-        raise ValueError(f"model file {path} config: {exc}") from None
-    spec = EncoderSpec(**payload["encoder"])
-    clients = []
-    for rec in payload["clients"]:
-        check_setting("client id", rec["id"], int, low=0)
-        check_setting(f"client {rec['id']} m", rec["m"], float, low=0,
-                      strict=True)
-        check_setting(f"client {rec['id']} nu", rec["nu"], float)
-        clients.append(cl.PredictiveState(
-            id=rec["id"], spec=spec, m=rec["m"], nu=rec["nu"],
-            phi=DiagGaussian(**rec["phi"]),
-            q_u=cl.InducingPosterior(**rec["inducing"]),
-        ))
-    return payload["config"], clients
+    src = f"model file {path}"
+    cfg, horizon, _, interval, encoder, _, _, clients = _read_versioned(
+        path, src, _MODEL_KEYS
+    )
+    # Not a ConfigError: a bad model file exits 1, not 2.
+    with _naming(src, "config"):
+        _check_saved_config(cfg)
+    with _naming(src, "horizon"):
+        check_setting("horizon", horizon, float, low=0, strict=True)
+    with _naming(src, "eval_interval"):
+        start, end = interval
+        for t in (start, end):
+            check_setting("eval_interval entry", t, float)
+    encoder_keys = [f.name for f in dataclasses.fields(EncoderSpec)]
+    spec_args = _fields(encoder, encoder_keys, src, "encoder")
+    with _naming(src, "encoder"):
+        spec = EncoderSpec(*spec_args)
+    states = [_read_client(node, spec, src, where)
+              for where, node in _elements(clients, src, "clients")]
+    return cfg, states, float(horizon), (float(start), float(end))
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +472,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _read_metadata_horizon(data_dir: Path) -> float:
+    """The horizon of the ``metadata.json`` that :func:`cmd_generate` wrote.
+
+    Its other keys are a record for the reader and are not read.
+    """
+    path = data_dir / "metadata.json"
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    if "horizon" not in meta:
+        raise ValueError(f"{path} has no 'horizon' key")
+    check_setting("metadata.json horizon", meta["horizon"], float, low=0,
+                  strict=True)
+    return float(meta["horizon"])
+
+
 def _load_dataset(data, cfg):
     """Client train and test sets, horizon, training window, eval interval.
 
@@ -409,11 +499,7 @@ def _load_dataset(data, cfg):
     n_clients = cfg["clients"]
     if cfg["split"] == "sequence":
         data_dir = Path(data)
-        with open(data_dir / "metadata.json", "r", encoding="utf-8") as fh:
-            horizon = json.load(fh)["horizon"]
-        check_setting("metadata.json horizon", horizon, float, low=0,
-                      strict=True)
-        horizon = float(horizon)
+        horizon = _read_metadata_horizon(data_dir)
 
         def load(path):
             seqs = dataio.load_jsonl(path)
@@ -449,6 +535,8 @@ def cmd_train(args) -> int:
     )
     metrics_path = Path(args.metrics)
     metrics_path.parent.mkdir(parents=True, exist_ok=True)
+    if args.model:
+        Path(args.model).parent.mkdir(parents=True, exist_ok=True)
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER + "\n")
 
@@ -487,20 +575,22 @@ def _by_client_id(states, n_clients):
 
 
 def cmd_eval(args) -> int:
-    cfg, states = load_model(args.model)
-    _, test_sets, _, _, interval = _load_dataset(args.data, cfg)
+    cfg, states, horizon, interval = load_model(args.model)
+    _, test_sets, data_horizon, _, data_interval = _load_dataset(args.data,
+                                                                 cfg)
+    if (horizon, interval) != (data_horizon, data_interval):
+        raise ValueError(
+            f"model file {args.model} was trained with horizon {horizon!r} "
+            f"and evaluation interval {interval!r}, but {args.data} has "
+            f"horizon {data_horizon!r} and interval {data_interval!r}"
+        )
     states = _by_client_id(states, len(test_sets))
     values = []
     for state, test_seqs in zip(states, test_sets):
-        if not test_seqs:
-            values.append(float("nan"))
-            continue
-        value = cl.test_loglik(state, test_seqs, interval)
-        values.append(value)
-        print(f"client {state.id}: test loglik {value!r}")
-    finite = [v for v in values if np.isfinite(v)]
-    mean = float(np.mean(finite)) if finite else float("nan")
-    print(f"mean test loglik {mean!r}")
+        values.append(heldout_loglik(state, test_seqs, interval))
+        if test_seqs:
+            print(f"client {state.id}: test loglik {values[-1]!r}")
+    print(f"mean test loglik {mean_finite(values)!r}")
     return 0
 
 

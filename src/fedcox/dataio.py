@@ -252,26 +252,20 @@ def _thin(m, horizon, rng, f_at) -> EventSequence:
     return EventSequence(times=cand[keep], horizon=float(horizon))
 
 
-def simulate_sgcp(m, kernel, horizon, seed, nu=0.0, f_override=None):
-    """Sample one sequence from intensity m * sigmoid(f), f ~ GP.
+def simulate_sgcp(m, f, horizon, seed):
+    """Sample one sequence from intensity m * sigmoid(f(t)) for a fixed f.
 
     Candidates come from a homogeneous Poisson(m) process; each candidate
     survives with probability sigmoid(f).  Valid because the intensity
-    never exceeds m.  The candidates' f values are conditioned on f's draw
-    on the returned 512-node ground-truth grid, as in
-    :func:`simulate_client`, whose kernel resolution check applies.
-
-    ``f_override``: optional callable t -> f(t) replacing the GP draw, for
-    fixed-function sampling in statistical checks; ``kernel`` is then
-    unused.  Without it this is :func:`simulate_client` with one sequence.
+    never exceeds m.  ``f`` is a callable t -> f(t) on an array of times,
+    for statistical checks of the thinning itself; a sequence whose f is a
+    GP draw comes from :func:`simulate_client` with ``n_seqs=1``.
+    Returns (sequence, (grid, intensity)) on the 512-node ground-truth grid.
     """
-    if f_override is None:
-        seqs, truth = simulate_client(m, kernel, horizon, 1, seed, nu)
-        return seqs[0], truth
     _check_rate(m, horizon)
 
     def f_at(t):
-        return np.asarray(f_override(t), dtype=np.float64)
+        return np.asarray(f(t), dtype=np.float64)
 
     seq = _thin(m, horizon, np.random.default_rng(seed), f_at)
     grid = np.linspace(0.0, horizon, GROUND_TRUTH_GRID)

@@ -46,12 +46,13 @@ class EncoderSpec:
 
     ``t_norm`` is the horizon used to normalize raw times into [0, 1]
     before they enter the network; every module evaluating the kernel for
-    the same model must share it.
+    the same model must share it.  It has no default: the run's horizon
+    is its one source.
     """
 
     hidden_dim: int
     output_dim: int
-    t_norm: float = 1.0
+    t_norm: float
 
     def __post_init__(self):
         check_setting("hidden_dim", self.hidden_dim, int, low=1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +32,8 @@ __all__ = [
     "RoundError",
     "build_clients",
     "sample_participants",
+    "heldout_loglik",
+    "mean_finite",
     "run_round",
     "run_training",
 ]
@@ -172,6 +174,19 @@ def sample_participants(round_index: int, config: FedConfig) -> tuple:
     return tuple(sorted(int(i) for i in ids))
 
 
+def heldout_loglik(state, test_seqs, interval) -> float:
+    """``state``'s held-out log-likelihood; NaN without test sequences."""
+    if not test_seqs:
+        return float("nan")
+    return cl.test_loglik(state, test_seqs, interval)
+
+
+def mean_finite(scores) -> float:
+    """Mean of the finite ``scores`` in the order given; NaN if none is."""
+    finite = [s for s in scores if np.isfinite(s)]
+    return float(np.mean(finite)) if finite else float("nan")
+
+
 def _update_one(state, theta, config, round_index, test_seqs, interval):
     """Run one participant on a copy of its state; return (state, payload)."""
     work = cl.clone_state(state)
@@ -182,14 +197,11 @@ def _update_one(state, theta, config, round_index, test_seqs, interval):
     )
     elbo_value = cl.elbo(work, theta, config.n_w_samples,
                          cl.derive_seed(seed, 0xE1B0))
-    loglik = (
-        cl.test_loglik(work, test_seqs, interval) if test_seqs else float("nan")
-    )
     payload = ClientPayload(
         client_id=state.id,
         phi=DiagGaussian(phi.mean.copy(), phi.var.copy()),
         elbo=elbo_value,
-        test_loglik=loglik,
+        test_loglik=heldout_loglik(work, test_seqs, interval),
     )
     return work, payload
 
@@ -228,18 +240,15 @@ def run_round(server: ServerState, clients, config: FedConfig,
         )
 
     t0 = time.perf_counter()
-    # Results are collected in participant order, so a failure is reported
-    # for the first participant whose result raises.
-    if config.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            futures = {cid: pool.submit(job, cid) for cid in participants}
-            for cid, fut in futures.items():
-                with _aborts_round(server.round, f"client {cid}"):
-                    jobs[cid] = fut.result()
-    else:
+    # Results come in participant order, so a failure is reported for the
+    # first participant whose result raises; the builtin map (one worker)
+    # runs no participant after it.
+    pool = ThreadPoolExecutor(config.n_workers) if config.n_workers > 1 else None
+    with pool or nullcontext():
+        results = (pool.map if pool else map)(job, participants)
         for cid in participants:
             with _aborts_round(server.round, f"client {cid}"):
-                jobs[cid] = job(cid)
+                jobs[cid] = next(results)
 
     # Barrier: exactly this round's uploads feed the aggregation.
     payloads = [jobs[cid][1] for cid in participants]
@@ -254,19 +263,18 @@ def run_round(server: ServerState, clients, config: FedConfig,
         # non-participants are scored read-only on their unchanged states
         # unless those states have a score already.
         for cid in range(config.n_clients):
-            if cid in scored or not test_sets[cid]:
+            if cid in scored:
                 continue
             if scores is not None and cid in scores:
                 scored[cid] = scores[cid]
                 continue
             with _aborts_round(server.round, f"evaluating client {cid}"):
-                scored[cid] = cl.test_loglik(clients[cid], test_sets[cid],
+                scored[cid] = heldout_loglik(clients[cid], test_sets[cid],
                                              eval_interval)
-    finite = [scored[c] for c in sorted(scored) if np.isfinite(scored[c])]
     metrics = RoundMetrics(
         round=server.round,
         participant_ids=participants,
-        mean_test_loglik=float(np.mean(finite)) if finite else float("nan"),
+        mean_test_loglik=mean_finite(scored[c] for c in sorted(scored)),
         per_client_loglik=logliks,
         mean_elbo=float(np.mean([p.elbo for p in payloads])),
         wall_time_ms=elapsed_ms,

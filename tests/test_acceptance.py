@@ -349,7 +349,7 @@ def test_criterion_07_thinning_consistency():
     edges = np.linspace(0.0, horizon, 9)
     hist = np.zeros(edges.size - 1)
     for seed in range(reps):
-        seq, _ = simulate_sgcp(m, None, horizon, seed, f_override=f)
+        seq, _ = simulate_sgcp(m, f, horizon, seed)
         hist += np.histogram(seq.times, bins=edges)[0]
     fine = np.linspace(0, horizon, 4001)
     lam_fine = m * expit(f(fine))

@@ -317,6 +317,15 @@ class TestTrain:
         assert len(lines) == 3  # header + 2 rounds
         assert model.exists()
 
+    def test_model_into_missing_directory(self, tmp_path, config_path,
+                                          data_dir):
+        # The model's directory is made before round 0, like the metrics'.
+        model = tmp_path / "out" / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        assert json.loads(model.read_text())["round"] == 2
+
     def test_rerun_byte_identical_csv_and_model(self, tmp_path, config_path,
                                                 data_dir):
         m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
@@ -606,6 +615,28 @@ class TestEval:
         assert message in captured.err
         assert "test loglik" not in captured.out
 
+    def test_other_time_layout_rejected(self, tmp_path, config_path,
+                                        data_dir, capsys):
+        # A model trained on horizon 1 is not scored on data of horizon 2.
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        cfg = dict(SMALL_CONFIG, generate={**SMALL_CONFIG["generate"],
+                                           "horizon": 2.0})
+        other_cfg = tmp_path / "other.yaml"
+        other_cfg.write_text(yaml.safe_dump(cfg))
+        other = tmp_path / "other"
+        assert main(["generate", "--config", str(other_cfg),
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(other)]) == 1
+        captured = capsys.readouterr()
+        assert (f"model file {model} was trained with horizon 1.0 and "
+                f"evaluation interval (0.0, 1.0), but {other} has horizon 2.0 "
+                "and interval (0.0, 2.0)") in captured.err
+        assert "test loglik" not in captured.out
+
     def test_model_without_config_rejected(self, tmp_path, config_path,
                                            data_dir, capsys):
         model = tmp_path / "model.json"
@@ -703,6 +734,76 @@ class TestEval:
         payload["version"] = "other-9"
         model.write_text(json.dumps(payload))
         assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
+
+
+def _pop(*path):
+    """An edit of a JSON payload that deletes the key at ``path``."""
+    def edit(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return payload
+    return edit
+
+
+def _put(*path, value):
+    """An edit of a JSON payload that sets the key at ``path`` to ``value``."""
+    def edit(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return payload
+    return edit
+
+
+class TestMalformedFiles:
+    """A malformed model, record or metadata file exits 1 with an error that
+    names the file and the key path."""
+
+    @pytest.mark.parametrize("target, edit, message", [
+        ("model", _pop("encoder"), "has no 'encoder' key"),
+        ("model", _pop("clients", 0, "phi"), "has no 'clients[0].phi' key"),
+        ("model", _put("clients", value=[1]),
+         "clients[0] is not a JSON object"),
+        ("model", _put("encoder", "extra", value=1),
+         "has unknown keys ['encoder.extra']"),
+        ("records", _pop("dim"), "has no 'dim' key"),
+        ("records", _pop("records", 0, "var"),
+         "has no 'records[0].var' key"),
+        ("metadata", _pop("horizon"), "has no 'horizon' key"),
+        ("metadata", lambda payload: [1, 2], "does not hold a JSON object"),
+    ], ids=["model-no-encoder", "model-client-no-phi", "model-client-int",
+            "model-encoder-extra-key", "records-no-dim", "records-no-var",
+            "metadata-no-horizon", "metadata-list"])
+    def test_error_names_file_and_key(self, tmp_path, config_path, data_dir,
+                                      capsys, target, edit, message):
+        model = tmp_path / "model.json"
+        if target == "model":
+            assert main(["train", "--config", config_path, "--data", data_dir,
+                         "--metrics", str(tmp_path / "m.csv"),
+                         "--model", str(model)]) == 0
+            path, kind = model, "model file "
+            argv = ["eval", "--model", str(model), "--data", data_dir]
+        elif target == "records":
+            path, kind = tmp_path / "in.json", "parameter record file "
+            write_param_records(
+                [DiagGaussian(np.zeros(2), np.ones(2))] * 2, path
+            )
+            argv = ["aggregate", "--method", "kl", "--in", str(path),
+                    "--out", str(tmp_path / "out.json")]
+        else:
+            path, kind = tmp_path / "data" / "metadata.json", ""
+            argv = ["train", "--config", config_path, "--data", data_dir,
+                    "--metrics", str(tmp_path / "m.csv")]
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: {kind}{path}" in captured.err
+        assert message in captured.err
+        assert "test loglik" not in captured.out
 
 
 class TestAggregateCommand:

@@ -496,7 +496,7 @@ class TestObjectiveGradient:
     def test_samples_do_not_stack_in_memory(self):
         # One sample's inducing blocks and (times x inducing) blocks are
         # alive at a time, so four samples peak about where one does.
-        spec = EncoderSpec(hidden_dim=32, output_dim=8)
+        spec = EncoderSpec(hidden_dim=32, output_dim=8, t_norm=1.0)
         st = make_state(np.random.default_rng(0), n_seqs=8, max_events=40,
                         n_inducing=50, n_grid=150, spec=spec)
         theta = random_theta(np.random.default_rng(1), spec)

@@ -158,13 +158,18 @@ class TestTrustedCuts:
         assert messages == ["rescaled sequence contains tied event times"] * 2
 
 
+def sine_f(t):
+    """A fixed f for the thinning sampler: 2 sin(2 pi t)."""
+    return 2.0 * np.sin(2.0 * np.pi * np.asarray(t))
+
+
 class TestSimulateSgcp:
     def test_saturated_high_keeps_everything(self):
         m, horizon = 40.0, 1.0
         counts = []
         for seed in range(200):
-            seq, _ = simulate_sgcp(m, None, horizon, seed,
-                                   f_override=lambda t: np.full(len(t), 60.0))
+            seq, _ = simulate_sgcp(m, lambda t: np.full(len(t), 60.0),
+                                   horizon, seed)
             counts.append(len(seq))
         mean = np.mean(counts)
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
@@ -172,15 +177,13 @@ class TestSimulateSgcp:
 
     def test_saturated_low_keeps_nothing(self):
         seq, (grid, lam) = simulate_sgcp(
-            30.0, None, 1.0, 0, f_override=lambda t: np.full(len(t), -60.0)
+            30.0, lambda t: np.full(len(t), -60.0), 1.0, 0
         )
         assert len(seq) == 0
         assert np.all(lam < 1e-20)
 
     def test_ground_truth_grid_shape(self):
-        seq, (grid, lam) = simulate_sgcp(
-            20.0, RbfSpec(1.5, 0.1), 1.0, 3
-        )
+        seq, (grid, lam) = simulate_sgcp(20.0, sine_f, 1.0, 3)
         assert grid.shape == lam.shape == (512,)
         assert np.all(lam >= 0) and np.all(lam <= 20.0)
         assert np.all(seq.times >= 0) and np.all(seq.times <= 1.0)
@@ -192,7 +195,7 @@ class TestSimulateSgcp:
         kernel = RbfSpec(1.5, 0.1)
         counts, integrals = [], []
         for seed in range(2000):
-            seq, (grid, lam) = simulate_sgcp(m, kernel, horizon, seed)
+            (seq,), (grid, lam) = simulate_client(m, kernel, horizon, 1, seed)
             counts.append(len(seq))
             integrals.append(np.trapezoid(lam, grid))
         counts = np.asarray(counts, dtype=float)
@@ -202,18 +205,18 @@ class TestSimulateSgcp:
         assert abs(diff.mean()) < 3 * se
 
     def test_determinism(self):
-        a, _ = simulate_sgcp(25.0, RbfSpec(1.0, 0.2), 1.0, 11)
-        b, _ = simulate_sgcp(25.0, RbfSpec(1.0, 0.2), 1.0, 11)
+        a, _ = simulate_sgcp(25.0, sine_f, 1.0, 11)
+        b, _ = simulate_sgcp(25.0, sine_f, 1.0, 11)
         np.testing.assert_array_equal(a.times, b.times)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            simulate_sgcp(0.0, RbfSpec(1.0, 0.1), 1.0, 0)
+            simulate_sgcp(0.0, sine_f, 1.0, 0)
 
     @pytest.mark.parametrize("m, horizon", [(math.inf, 1.0), (25.0, math.nan)])
     def test_rejects_non_finite_rate(self, m, horizon):
         with pytest.raises(ValueError, match="finite"):
-            simulate_sgcp(m, RbfSpec(1.0, 0.1), horizon, 0)
+            simulate_sgcp(m, sine_f, horizon, 0)
 
     def test_thinning_intensity_histogram(self):
         # Fixed f(t) = 2 sin(2 pi t / T): per-bin counts match the target
@@ -223,7 +226,7 @@ class TestSimulateSgcp:
         edges = np.linspace(0.0, horizon, 9)
         hist = np.zeros(edges.size - 1)
         for seed in range(reps):
-            seq, _ = simulate_sgcp(m, None, horizon, seed, f_override=f)
+            seq, _ = simulate_sgcp(m, f, horizon, seed)
             hist += np.histogram(seq.times, bins=edges)[0]
         centers = 0.5 * (edges[:-1] + edges[1:])
         # expected bin mass: integral of m sigmoid(f) over the bin
@@ -257,22 +260,13 @@ class TestSimulateClient:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.times, sb.times)
 
-    def test_single_sequence_is_simulate_sgcp(self):
-        kernel = RbfSpec(1.5, 0.1)
-        seq, (grid, lam) = simulate_sgcp(40.0, kernel, 1.0, 17, nu=0.3)
-        seqs, (grid_c, lam_c) = simulate_client(40.0, kernel, 1.0, 1, 17, nu=0.3)
-        assert np.array_equal(seq.times, seqs[0].times)
-        assert np.array_equal(grid, grid_c) and np.array_equal(lam, lam_c)
-
     def test_rejects_deep_kernel(self):
         # The ground truth is a plain RBF SGCP; a (params, EncoderSpec)
         # pair is not a kernel the simulator draws from.
-        spec = EncoderSpec(hidden_dim=2, output_dim=2)
+        spec = EncoderSpec(hidden_dim=2, output_dim=2, t_norm=1.0)
         kernel = (init_kernel_params(spec, 0), spec)
         with pytest.raises(TypeError):
             simulate_client(20.0, kernel, 1.0, 2, 0)
-        with pytest.raises(TypeError):
-            simulate_sgcp(20.0, kernel, 1.0, 0)
 
     def test_equal_spec_reuses_cached_factor(self, monkeypatch):
         calls = []
@@ -356,7 +350,8 @@ class TestGeneratedDataPinned:
         assert draw_digest(seqs, truth) == full
 
     def test_simulate_sgcp(self):
-        seq, truth = simulate_sgcp(50.0, RbfSpec(1.5, 0.1), 1.0, 6)
+        # One GP draw, once recorded through simulate_sgcp's GP path.
+        (seq,), truth = simulate_client(50.0, RbfSpec(1.5, 0.1), 1.0, 1, 6)
         assert len(seq) == 31
         assert draw_digest([seq], truth, intensity=False) == (
             "3f16e3342703c8545c32bee1ba7a282dbd0a67f795ec8dd99f54148b7f57e253"
@@ -384,15 +379,11 @@ class TestGridResolution:
         kernel = RbfSpec(1.0, 1.999 * self.SPACING)
         with pytest.raises(ValueError, match="grid spacings"):
             simulate_client(20.0, kernel, 7.5, 2, 0)
-        with pytest.raises(ValueError, match="grid spacings"):
-            simulate_sgcp(20.0, kernel, 7.5, 0)
 
     def test_accepts_kernel_above_two_spacings(self):
         kernel = RbfSpec(1.0, 2.001 * self.SPACING)
         seqs, (grid, lam) = simulate_client(2.0, kernel, 7.5, 2, 0)
         assert len(seqs) == 2 and lam.shape == grid.shape
-        seq, _ = simulate_sgcp(2.0, kernel, 7.5, 0)
-        assert np.all(seq.times <= 7.5)
 
     def test_one_grid_solve_per_client(self, monkeypatch):
         solves, half_solves = [], []

@@ -62,7 +62,7 @@ class TestPacking:
         assert np.array_equal(rebuilt, packed)
 
     def test_parameter_count_matches_architecture(self):
-        spec = EncoderSpec(hidden_dim=32, output_dim=8)
+        spec = EncoderSpec(hidden_dim=32, output_dim=8, t_norm=1.0)
         assert spec.n_net_params == 32 + 32 + 8 * 32 + 8
         assert spec.n_params == spec.n_net_params + 2
 
@@ -79,7 +79,7 @@ class TestPacking:
             KernelParams(packed, spec)
 
     def test_init_is_deterministic(self):
-        spec = EncoderSpec(hidden_dim=5, output_dim=3)
+        spec = EncoderSpec(hidden_dim=5, output_dim=3, t_norm=1.0)
         a = init_kernel_params(spec, 99)
         b = init_kernel_params(spec, 99)
         assert np.array_equal(a, b)
@@ -88,7 +88,8 @@ class TestPacking:
 
     @pytest.mark.parametrize("dims", [(1, 1), (3, 2), (32, 8)])
     def test_init_matches_offset_layout_bytes(self, dims):
-        spec = EncoderSpec(hidden_dim=dims[0], output_dim=dims[1])
+        spec = EncoderSpec(hidden_dim=dims[0], output_dim=dims[1],
+                           t_norm=1.0)
         for seed in (0, 7):
             got = init_kernel_params(spec, seed)
             assert got.tobytes() == init_reference(spec, seed).tobytes()
@@ -98,8 +99,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kwargs, error", [
         ({"hidden_dim": 2, "output_dim": 2, "t_norm": np.nan}, ValueError),
         ({"hidden_dim": 2, "output_dim": 2, "t_norm": np.inf}, ValueError),
-        ({"hidden_dim": 2.5, "output_dim": 2}, TypeError),
-        ({"hidden_dim": True, "output_dim": 2}, TypeError),
+        ({"hidden_dim": 2.5, "output_dim": 2, "t_norm": 1.0}, TypeError),
+        ({"hidden_dim": True, "output_dim": 2, "t_norm": 1.0}, TypeError),
     ], ids=["t_norm-nan", "t_norm-inf", "hidden-float", "hidden-bool"])
     def test_rejects_bad_setting(self, kwargs, error):
         with pytest.raises(error):
@@ -130,7 +131,7 @@ class TestEmbed:
             )
 
     def test_identity_like_net_at_zero(self):
-        spec = EncoderSpec(hidden_dim=1, output_dim=1)
+        spec = EncoderSpec(hidden_dim=1, output_dim=1, t_norm=1.0)
         packed = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         assert embed(0.0, KernelParams(packed, spec)) == pytest.approx(0.0)
 
