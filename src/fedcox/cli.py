@@ -3,8 +3,11 @@
 Configuration comes from a YAML file validated against a fixed key set
 (unknown keys are rejected before any work starts).  The seed precedence
 is: --seed flag, then the FEDPP_SEED environment variable, then the
-config file.  Exit codes: 0 success, 1 runtime failure, 2 validation
-failure.
+config file.  Exit codes: 0 success; 2 an invalid config (file, flags,
+FEDPP_SEED, ``aggregate --mmd-delta``), a usage error or a missing file;
+1 a malformed data, model, record or metadata.json file, a layout or
+client-id mismatch, or a failed round.  Only a failed round or an
+unexpected error logs a traceback.
 """
 from __future__ import annotations
 
@@ -650,13 +653,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except ValueError as exc:  # malformed input; the message names it
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failure
+        return 1
+    except Exception as exc:  # failed round or unexpected error
         log.exception("command failed")
         print(f"error: {exc}", file=sys.stderr)
         return 1

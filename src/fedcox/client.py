@@ -20,6 +20,8 @@ import copy
 import logging
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -201,14 +203,14 @@ class _InducingBlocks:
     The embedding tape of the inducing points feeds the parameter gradient.
     """
 
-    __slots__ = ("params", "tape_z", "h_z", "d2_zz", "k_zz", "factor",
-                 "jitter", "logdet_kzz", "_kzz_inv")
+    __slots__ = ("params", "tape_z", "d2_zz", "k_zz", "factor", "jitter",
+                 "logdet_kzz", "_kzz_inv")
 
     def __init__(self, state: ClientState, w_row: np.ndarray):
         self.params = KernelParams(w_row, state.spec)
         self.tape_z = dk.embed_with_tape(state.q_u.locations, self.params)
-        self.h_z = self.tape_z.out
-        self.d2_zz, self.k_zz = dk.rbf_block(self.h_z, self.h_z, self.params)
+        h_z = self.tape_z.out
+        self.d2_zz, self.k_zz = dk.rbf_block(h_z, h_z, self.params)
         self.factor, self.jitter = chol_factor_jittered(
             self.k_zz, f"client {state.id} inducing gram", baseline=True
         )
@@ -257,7 +259,7 @@ class _SampleCache:
                  times: np.ndarray):
         self.z = z
         self.tape_t = dk.embed_with_tape(times, z.params)
-        self.d2_tz, self.k_tz = dk.rbf_block(self.tape_t.out, z.h_z, z.params)
+        self.d2_tz, self.k_tz = dk.rbf_block(self.tape_t.out, z.tape_z.out, z.params)
         # One batched triangular solve covers beta and alpha.
         rhs = np.concatenate(
             [self.k_tz.T, (state.q_u.mean - state.nu)[:, None]], axis=1
@@ -285,12 +287,19 @@ def _sample_moments(state, c):
     return mean, var + mean**2
 
 
+def _sample_mean(terms):
+    """Average of per-sample terms: summed in sample order from +0.0, then
+    divided once.  Not :func:`sum`, which from Python 3.12 compensates the
+    round-off of float terms and so moves the bits of a scalar average."""
+    return reduce(add, terms, 0.0) / len(terms)
+
+
 def _mixture_moments(state, blocks, times):
     """First and second moments of f averaged over the samples' blocks."""
     means, seconds = zip(*(
         _sample_moments(state, _SampleCache(state, z, times)) for z in blocks
     ))
-    return np.stack(means).mean(axis=0), np.stack(seconds).mean(axis=0)
+    return _sample_mean(means), _sample_mean(seconds)
 
 
 def posterior_f_moments(state: ClientState | PredictiveState, w, times):
@@ -339,19 +348,20 @@ def update_latent_pp(state: ClientState, blocks) -> np.ndarray:
     return state.latent_rate
 
 
-def _ab_coefficients(state: ClientState):
-    """Event weights and integrated grid weights of the A and B densities.
+def _ab_coefficients(state: ClientState, idx, scale):
+    """A and B weights, of -E[f^2]/2 and E[f], at :func:`_batch_events`' times.
 
-    Events enter as exact delta sums; the continuous parts carry the
-    quadrature weights and the sequence count (one latent process per
-    training sequence).  Event sums and grid integrals never mix.
+    Event rows ``idx`` come first, as exact delta sums scaled by ``scale``;
+    the grid rows carry the quadrature weights and the sequence count (one
+    latent process per training sequence).  Event sums and grid integrals
+    never mix.
     """
-    a_ev = pg_mean(state.pg)
-    b_ev = np.full(state.events.size, 0.5)
     lam_w = state.n_seqs * state.grid.weights * state.latent_rate
-    a_gr = lam_w * pg_mean(state.latent_c)
-    b_gr = -0.5 * lam_w
-    return a_ev, b_ev, a_gr, b_gr
+    a = np.concatenate([
+        scale * pg_mean(state.pg)[idx], lam_w * pg_mean(state.latent_c)
+    ])
+    b = np.concatenate([np.full(idx.size, 0.5 * scale), -0.5 * lam_w])
+    return a, b
 
 
 def update_inducing(state: ClientState, blocks) -> InducingPosterior:
@@ -362,23 +372,17 @@ def update_inducing(state: ClientState, blocks) -> InducingPosterior:
     Kzz^-1 (Int B~ k + nu 1) with B~ = B - A (nu - k^T Kzz^-1 nu 1).
     ``blocks`` is as in :func:`update_pg`.
     """
-    a_ev, b_ev, a_gr, b_gr = _ab_coefficients(state)
-    a_all = np.concatenate([a_ev, a_gr])
-    b_all = np.concatenate([b_ev, b_gr])
-    times = np.concatenate([state.events, state.grid.nodes])
-    m_ind = state.q_u.locations.size
-    precision = np.zeros((m_ind, m_ind))
-    linear = np.zeros(m_ind)
-    for z in blocks:
-        terms = _natural_terms(state, _SampleCache(state, z, times), a_all, b_all)
-        precision += terms[0]
-        linear += terms[1]
-    precision /= len(blocks)
-    linear /= len(blocks)
+    idx, scale, times = _batch_events(state, None)
+    a, b = _ab_coefficients(state, idx, scale)
+    precisions, linears = zip(*(
+        _natural_terms(state, _SampleCache(state, z, times), a, b)
+        for z in blocks
+    ))
+    precision, linear = _sample_mean(precisions), _sample_mean(linears)
     factor, _ = chol_factor_jittered(
         precision, f"client {state.id} inducing precision"
     )
-    cov = solve_with(factor, np.eye(m_ind))
+    cov = solve_with(factor, np.eye(linear.size))
     cov = 0.5 * (cov + cov.T)
     state.q_u = InducingPosterior(
         locations=state.q_u.locations, mean=solve_with(factor, linear), cov=cov
@@ -386,14 +390,14 @@ def update_inducing(state: ClientState, blocks) -> InducingPosterior:
     return state.q_u
 
 
-def _natural_terms(state, c, a_all, b_all):
-    """One sample's terms of q(u)'s precision and linear natural parameters."""
+def _natural_terms(state, c, a, b):
+    """One sample's terms of q(u)'s natural parameters at A/B weights a, b."""
     kzz_inv = c.z.kzz_inv
     ones = np.ones(kzz_inv.shape[0])
     offset = state.nu * (1.0 - c.k_tz @ solve_with(c.z.factor, ones))
-    b_tilde = b_all - a_all * offset
+    b_tilde = b - a * offset
     return (
-        c.beta.T @ (a_all[:, None] * c.beta) + kzz_inv,
+        c.beta.T @ (a[:, None] * c.beta) + kzz_inv,
         c.beta.T @ b_tilde + state.nu * (kzz_inv @ ones),
     )
 
@@ -449,17 +453,14 @@ def _kl_inducing(state, blocks) -> float:
         state.q_u.cov, f"client {state.id} inducing covariance"
     )
     logdet_cov = chol_logdet(cov_factor)
-    a = state.q_u.mean - state.nu
-    total = 0.0
-    for z in blocks:
-        total += 0.5 * (
-            z.logdet_kzz
-            - logdet_cov
-            + float(np.trace(solve_with(z.factor, state.q_u.cov)))
-            + float(a @ solve_with(z.factor, a))
-            - m_ind
-        )
-    return total / len(blocks)
+    centered = state.q_u.mean - state.nu
+    return _sample_mean([0.5 * (
+        z.logdet_kzz
+        - logdet_cov
+        + float(np.trace(solve_with(z.factor, state.q_u.cov)))
+        + float(centered @ solve_with(z.factor, centered))
+        - m_ind
+    ) for z in blocks])
 
 
 def _batch_events(state, batch):
@@ -531,22 +532,17 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch,
     std = state.phi.std()
     w = state.phi.mean + std * eps
 
-    # Linear coefficients of E[f] (a_t) and -E[f^2]/2 (b_t) per evaluation
-    # time: the B and A densities, event terms rescaled to the batch.
-    a_ev, b_ev, a_gr, b_gr = _ab_coefficients(state)
-    a_t = np.concatenate([scale * b_ev[idx], b_gr])
-    b_t = np.concatenate([scale * a_ev[idx], a_gr])
-
-    grad_w = np.zeros((n_w_samples, state.phi.dim))
-    # Blocks and cache are temporaries of one statement, so one sample's are
-    # alive at a time (enumerate would hold the previous sample's blocks).
-    for s in range(n_w_samples):
-        grad_w[s] = _sample_grad(
-            state, _SampleCache(state, _InducingBlocks(state, w[s]), times),
-            a_t, b_t,
+    a, b = _ab_coefficients(state, idx, scale)
+    # Blocks and cache are temporaries of one call, so one sample's are
+    # alive at a time (binding them would hold the previous sample's).
+    grads = [
+        _sample_grad(
+            state, _SampleCache(state, _InducingBlocks(state, row), times), a, b
         )
-    g_mean = grad_w.mean(axis=0)
-    g_logv = (grad_w * eps).mean(axis=0) * 0.5 * std
+        for row in w
+    ]
+    g_mean = _sample_mean(grads)
+    g_logv = _sample_mean([g * e for g, e in zip(grads, eps)]) * 0.5 * std
     # Kernel-parameter divergence (always KL for the client-side gradient).
     g_mean = g_mean - (state.phi.mean - theta.mean) / theta.var
     g_logv = g_logv - 0.5 * (state.phi.var / theta.var - 1.0)
@@ -555,28 +551,29 @@ def local_objective_grad(state: ClientState, theta: DiagGaussian, batch,
     return -g_mean, -g_logv
 
 
-def _sample_grad(state, c, a_t, b_t) -> np.ndarray:
+def _sample_grad(state, c, a, b) -> np.ndarray:
     """One sample's gradient of the sampled bound w.r.t. its packed vector.
 
     ``c`` is the sample's :class:`_SampleCache` at the evaluation times, and
-    ``a_t``/``b_t`` are the linear coefficients of E[f] and -E[f^2]/2 there.
+    ``a``/``b`` are the A and B weights there (:func:`_ab_coefficients`),
+    the linear coefficients of -E[f^2]/2 and E[f].
     """
     beta = c.beta
     mean = state.nu + c.k_tz @ c.alpha
     gamma = solve_with(c.z.factor, (beta @ state.q_u.cov).T).T
-    u_t = a_t - b_t * mean
-    d_k_tz = u_t[:, None] * c.alpha[None, :] + b_t[:, None] * (beta - gamma)
-    coeff_tt = -0.5 * float(np.sum(b_t))
+    u_t = b - a * mean
+    d_k_tz = u_t[:, None] * c.alpha[None, :] + a[:, None] * (beta - gamma)
+    coeff_tt = -0.5 * float(np.sum(a))
     kzz_inv = c.z.kzz_inv
     m_k = (
-        -0.5 * (beta.T @ (b_t[:, None] * beta))
+        -0.5 * (beta.T @ (a[:, None] * beta))
         - 0.5 * kzz_inv
         + 0.5 * kzz_inv @ state.q_u.cov @ kzz_inv
         + 0.5 * np.outer(c.alpha, c.alpha)
     )
     cross = np.outer(c.alpha, beta.T @ u_t)
     m_k -= 0.5 * (cross + cross.T)
-    gb = (b_t[:, None] * gamma).T @ beta
+    gb = (a[:, None] * gamma).T @ beta
     m_k += 0.5 * (gb + gb.T)
     return dk.accumulate_param_grad(
         m_k, d_k_tz, coeff_tt, c.z.k_zz, c.k_tz, c.z.d2_zz, c.d2_tz,

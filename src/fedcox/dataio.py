@@ -75,6 +75,30 @@ def _integer_marks(marks) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+_PY_NUMBERS = frozenset((int, float))
+
+
+def _float_times(times) -> np.ndarray:
+    """``times`` as float64, or ValueError unless every one is a number.
+
+    Times take an int or float dtype; bools never pass, even in a list that
+    numpy reads as numbers, and neither do strings.  A list or tuple of
+    Python ints and floats, the common case, is checked in one type pass.
+    """
+    if isinstance(times, (list, tuple)) and _PY_NUMBERS.issuperset(map(type, times)):
+        return np.asarray(times, dtype=np.float64)
+    try:
+        arr = np.asarray(times)
+    except ValueError:  # ragged, e.g. [[0.1], [0.2, 0.3]]
+        raise ValueError("times must be numbers") from None
+    if arr.dtype.kind not in "iuf" or not (
+        isinstance(times, np.ndarray) or arr.ndim != 1
+        or _BOOL_TYPES.isdisjoint(map(type, times))
+    ):
+        raise ValueError("times must be numbers")
+    return arr.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class EventSequence:
     """Sorted event times on [0, horizon], with optional integer type marks.
@@ -91,7 +115,7 @@ class EventSequence:
     marks: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
+        times = _float_times(self.times)
         object.__setattr__(self, "times", times)
         check_setting("horizon", self.horizon, float, low=0, strict=True)
         object.__setattr__(self, "horizon", float(self.horizon))
@@ -312,9 +336,6 @@ def superpose(a: EventSequence, b: EventSequence) -> EventSequence:
     return EventSequence(times=times, horizon=a.horizon)
 
 
-_JSON_NUMBERS = frozenset((int, float))
-
-
 def load_jsonl(path) -> list[EventSequence]:
     """Read one sequence per line: {"times": [...], "marks?": [...], "horizon?": x}."""
     seqs = []
@@ -330,12 +351,8 @@ def load_jsonl(path) -> list[EventSequence]:
             if not isinstance(record, dict):
                 raise ValueError(f"line {lineno} is not a JSON object")
             times = record.get("times")
-            # JSON numbers load as int or float; this also rejects bools.
-            if not (isinstance(times, list)
-                    and _JSON_NUMBERS.issuperset(map(type, times))):
-                raise ValueError(
-                    f"'times' must be a list of numbers at line {lineno}"
-                )
+            if not isinstance(times, list):
+                raise ValueError(f"'times' must be an array at line {lineno}")
             horizon = record.get("horizon")
             if horizon is None:
                 if not times:

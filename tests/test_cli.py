@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -804,6 +806,39 @@ class TestMalformedFiles:
         assert f"error: {kind}{path}" in captured.err
         assert message in captured.err
         assert "test loglik" not in captured.out
+
+    def test_malformed_file_prints_no_traceback(self, tmp_path, config_path,
+                                                data_dir):
+        path = tmp_path / "data" / "metadata.json"
+        path.write_text(json.dumps(_pop("horizon")(json.loads(path.read_text()))))
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "fedcox.cli", "train", "--config",
+             config_path, "--data", data_dir, "--metrics",
+             str(tmp_path / "m.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == f"error: {path} has no 'horizon' key\n"
+
+    @pytest.mark.parametrize("error, traced", [
+        (ValueError("bad input"), False),
+        (orchestrator.RoundError("round 0 aborted"), True),
+        (FloatingPointError("not finite"), True),
+        (KeyError("unexpected"), True),
+    ], ids=["value-error", "round-error", "floating-point", "unexpected"])
+    def test_traceback_only_for_failed_rounds_and_surprises(
+            self, config_path, data_dir, tmp_path, monkeypatch, caplog,
+            error, traced):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_training", fail)
+        with caplog.at_level("ERROR"):
+            assert main(["train", "--config", config_path, "--data",
+                         data_dir, "--metrics", str(tmp_path / "m.csv")]) == 1
+        assert any(r.exc_info for r in caplog.records) == traced
 
 
 class TestAggregateCommand:

@@ -665,6 +665,55 @@ class TestClientUpdate:
             cl.client_update(st, theta, 1, 0, 0.1, seed=0, n_w_samples=2)
 
 
+def _sha256(*parts):
+    return hashlib.sha256(
+        b"".join(np.asarray(p).tobytes() for p in parts)
+    ).hexdigest()
+
+
+class TestSampleAveragesPinned:
+    """Each reader of the S-sample average, pinned at S = 3 on one step.
+
+    ``test_floats_pinned`` sees these only through two whole updates; here
+    each is pinned on its own (float.hex or SHA-256), so a rewrite of an
+    average that moves any bit fails on the reader it moved.
+    """
+
+    @staticmethod
+    def state(seed):
+        rng = np.random.default_rng(seed)
+        st = make_state(rng, n_seqs=5, max_events=6, n_inducing=5, n_grid=21)
+        return st, random_theta(rng)
+
+    def test_elbo(self):
+        st, theta = self.state(8101)
+        assert cl.elbo(st, theta, 3, 31).hex() == "-0x1.d8b8b06aef065p+23"
+
+    def test_objective_grad_on_a_batch(self):
+        st, theta = self.state(8102)
+        assert _sha256(*cl.local_objective_grad(st, theta, [3, 0], 3, 32)) == (
+            "9158b7b9cc176c3c6d89962c3f14e57c6fa7799ebbb9300bb32b50f3a59c433c"
+        )
+
+    def test_update_inducing(self):
+        st, _ = self.state(8103)
+        q = cl.update_inducing(st, cl.sample_blocks(
+            st, cl.draw_w_samples(st.phi, 3, 33)
+        ))
+        assert _sha256(q.mean, q.cov) == (
+            "dfb0bc177926644dab716907eb49e8ae60e6b841a9f904eb5f5e2fa364152eeb"
+        )
+
+    def test_posterior_f_moments(self):
+        st, _ = self.state(8104)
+        moments = cl.posterior_f_moments(
+            st, cl.draw_w_samples(st.phi, 3, 34), np.linspace(0, 1, 7)
+        )
+        assert _sha256(*moments) == (
+            "745bea69903cfd9dd53be062a778c1213f2ed8a7abb4fe9ebf6a75f5a593ca17"
+        )
+
+
 class TestTestLoglik:
     def test_saturated_intensity(self):
         st = saturated_kernel_state(60.0, 1e-12, m=7.0)

@@ -57,6 +57,26 @@ class TestEventSequence:
         with pytest.raises(ValueError, match="marks must be integers"):
             EventSequence(times=np.array([0.1, 0.2]), horizon=1.0, marks=bad)
 
+    @pytest.mark.parametrize("bad", [
+        [False, True], ["0.1", "0.5"], [0.1, True], np.array([False, True]),
+        (0.1, True), [0.1, None], [[0.1], [0.2, 0.3]],
+        np.array(["0.1", "0.5"]),
+    ], ids=["bools", "numeric-strings", "bool-in-floats", "bool-array",
+            "bool-in-tuple", "none", "ragged", "string-array"])
+    def test_rejects_times_that_are_not_numbers(self, bad):
+        with pytest.raises(ValueError, match="times must be numbers"):
+            EventSequence(times=bad, horizon=1.0)
+
+    @pytest.mark.parametrize("good", [
+        [0, 1], [0.25, 1], (0.25, 1.0), np.array([0, 1], dtype=np.uint8),
+        np.array([0.25, 1.0], dtype=np.float32),
+        [np.float32(0.25), np.int64(1)],
+    ], ids=["ints", "mixed", "tuple", "uint8", "float32", "numpy-scalars"])
+    def test_numeric_times_stored_as_float64(self, good):
+        seq = EventSequence(times=good, horizon=1.0)
+        assert seq.times.dtype == np.float64
+        np.testing.assert_array_equal(seq.times, np.asarray(good, dtype=float))
+
     @pytest.mark.parametrize("good", [
         [1, 2], [1.0, 2.0], np.array([1, 2], dtype=np.uint8),
     ], ids=["ints", "integral-floats", "uint8"])
