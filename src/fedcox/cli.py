@@ -4,7 +4,8 @@ Configuration comes from a YAML file validated against a fixed key set
 (unknown keys are rejected before any work starts).  The seed precedence
 is: --seed flag, then the FEDPP_SEED environment variable, then the
 config file.  Exit codes: 0 success; 2 an invalid config (file, flags,
-FEDPP_SEED, ``aggregate --mmd-delta``), a usage error or a missing file;
+FEDPP_SEED, ``aggregate --mmd-delta``), a usage error, or a missing file
+or one of the wrong kind (a file for a directory or the reverse);
 1 a malformed data, model, record or metadata.json file, a layout or
 client-id mismatch, or a failed round.  Only a failed round or an
 unexpected error logs a traceback.
@@ -25,12 +26,7 @@ import yaml
 
 from . import client as cl
 from . import dataio
-from .aggregation import (
-    _MMD_DEFAULTS,
-    AGGREGATION_KINDS,
-    AggregationMethod,
-    aggregate,
-)
+from .aggregation import AGGREGATION_KINDS, AggregationMethod, aggregate
 from .kernel import PACKING_VERSION, EncoderSpec
 from .numerics import DiagGaussian, check_setting
 from .orchestrator import FedConfig, heldout_loglik, mean_finite, run_training
@@ -66,7 +62,10 @@ _FED_FIELDS = {"clients": "n_clients", "participants": "participants_per_round"}
 _FED_KEYS = (
     {f.name for f in dataclasses.fields(FedConfig)} - set(_FED_FIELDS.values())
 ) | set(_FED_FIELDS)
-_TOP_KEYS = _FED_KEYS | set(_MMD_DEFAULTS) | {
+# The MMD knobs of the aggregation rule, each a config key of its own.
+_MMD_KEYS = tuple(f.name for f in dataclasses.fields(AggregationMethod)
+                  if f.name != "kind")
+_TOP_KEYS = _FED_KEYS | set(_MMD_KEYS) | {
     "split", "event_types", "types_per_client", "generate",
 }
 # The config keys that ``train`` flags override, each spelled
@@ -92,7 +91,15 @@ def load_config(path=None, overrides=None) -> dict:
            for k, v in _DEFAULT_CONFIG.items()}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            # A ValueError is text that is not UTF-8, or a value such as the
+            # date 2020-13-45 that YAML parses but cannot build.
+            except (yaml.YAMLError, ValueError) as exc:
+                problem = " ".join(str(exc).split())
+                raise ConfigError(
+                    f"config file {path} is not valid YAML: {problem}"
+                ) from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a mapping")
         _check_keys(loaded)
@@ -161,16 +168,14 @@ def _validate_config(cfg: dict) -> None:
     for pair in kernels:
         for x in pair:
             check_setting("generate.kernels entry", x, float, low=0, strict=True)
-        dataio._check_resolution(_kernel_spec(pair), gen["horizon"])
-    # Keys that the split or the rule in use does not read are checked all
-    # the same, so a file that loads under one rule (``--aggregation``)
-    # holds no wrong-typed value for another.
+        dataio.check_resolution(_kernel_spec(pair), gen["horizon"])
+    # Keys that the split in use does not read are checked all the same,
+    # as :func:`_aggregation_method` checks the MMD knobs under every rule.
     for key in ("event_types", "types_per_client"):
         if cfg["split"] == "time" or key in cfg:
             check_setting(key, cfg.get(key), int, low=1)
     if cfg["split"] == "time" and cfg["types_per_client"] >= cfg["event_types"]:
         raise ConfigError("types_per_client must be < event_types")
-    AggregationMethod("mmd", **{k: cfg.get(k) for k in _MMD_DEFAULTS})
     fed_config(cfg)
 
 
@@ -184,9 +189,16 @@ def fed_config(cfg: dict) -> FedConfig:
         _FED_FIELDS.get(key, key): value for key, value in cfg.items()
         if key in _FED_KEYS and key != "aggregation"
     }
-    kind = cfg["aggregation"]
-    mmd = {k: cfg.get(k) for k in _MMD_DEFAULTS} if kind == "mmd" else {}
-    return FedConfig(aggregation=AggregationMethod(kind, **mmd), **kwargs)
+    return FedConfig(aggregation=_aggregation_method(cfg["aggregation"], cfg),
+                     **kwargs)
+
+
+def _aggregation_method(kind, settings) -> AggregationMethod:
+    """The rule ``kind``.  The MMD knobs in ``settings`` (absent or None:
+    the default) are checked under every kind, so settings that work under
+    one rule hold no wrong value for another."""
+    mmd = AggregationMethod("mmd", **{k: settings.get(k) for k in _MMD_KEYS})
+    return mmd if kind == "mmd" else AggregationMethod(kind)
 
 
 # ----------------------------------------------------------------------
@@ -227,16 +239,26 @@ def _write_versioned(path, payload: dict, last_key: str, items) -> None:
         raise
 
 
+def _json_object(path, src: str) -> dict:
+    """The JSON object that the file at ``path`` holds; ``src`` names the
+    file in the ValueError for a file that is not one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{src} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{src} does not hold a JSON object")
+    return payload
+
+
 def _read_versioned(path, src: str, keys) -> list:
     """The values of ``keys`` in a file written by :func:`_write_versioned`.
 
     ``src`` names the file in errors.  Beside the packing version the file
     must hold exactly ``keys`` (:func:`_fields`).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{src} does not hold a JSON object")
+    payload = _json_object(path, src)
     version = payload.get("version")
     if version != PACKING_VERSION:
         raise ValueError(
@@ -285,11 +307,18 @@ def _gaussian_json(g: DiagGaussian) -> dict:
     return {"mean": g.mean.tolist(), "var": g.var.tolist()}
 
 
-def _read_gaussian(node, src: str, where: str) -> DiagGaussian:
-    """The record that :func:`_gaussian_json` wrote at ``where``."""
+def _read_gaussian(node, src: str, where: str, dim: int,
+                   of: str) -> DiagGaussian:
+    """The record that :func:`_gaussian_json` wrote at ``where``, which must
+    have dimension ``dim``; ``of`` names what sets it."""
     mean, var = _fields(node, ("mean", "var"), src, where)
     with _naming(src, where):
-        return DiagGaussian(mean, var)
+        g = DiagGaussian(mean, var)
+    if g.dim != dim:
+        raise ValueError(
+            f"{src} {where} has dimension {g.dim}, not the {dim} of {of}"
+        )
+    return g
 
 
 def write_param_records(records, path) -> None:
@@ -312,14 +341,8 @@ def read_param_records(path) -> list:
     dim, items = _read_versioned(path, src, ("dim", "records"))
     with _naming(src, "dim"):
         check_setting("dim", dim, int, low=1)
-    records = []
-    for where, item in _elements(items, src, "records"):
-        g = _read_gaussian(item, src, where)
-        if g.dim != dim:
-            raise ValueError(
-                f"{src} {where} has dimension {g.dim}, header says {dim}"
-            )
-        records.append(g)
+    records = [_read_gaussian(item, src, where, dim, "the header")
+               for where, item in _elements(items, src, "records")]
     if not records:
         raise ValueError(f"{src} holds no records")
     return records
@@ -350,7 +373,8 @@ def _read_client(node, spec, src: str, where: str) -> cl.PredictiveState:
     )
     q_u = _fields(inducing, ("locations", "mean", "cov"), src,
                   f"{where}.inducing")
-    phi = _read_gaussian(phi, src, f"{where}.phi")
+    phi = _read_gaussian(phi, src, f"{where}.phi", spec.n_params,
+                         "the encoder")
     with _naming(src, where):
         check_setting("client id", cid, int, low=0)
         check_setting(f"client {cid} m", m, float, low=0, strict=True)
@@ -389,17 +413,26 @@ def load_model(path):
     The file must hold what :func:`save_model` writes and nothing else; a
     missing, unknown or malformed value is a ValueError naming the file
     and the key path.  The config is checked by :func:`load_config`'s
-    rules, without ``FEDPP_SEED``.
+    rules, without ``FEDPP_SEED``.  The encoder normalizes times by the
+    horizon, and ``theta`` and each client's ``phi`` hold one entry per
+    encoder parameter.
     """
     src = f"model file {path}"
-    cfg, horizon, _, interval, encoder, _, _, clients = _read_versioned(
-        path, src, _MODEL_KEYS
+    cfg, horizon, window, interval, encoder, theta, rnd, clients = (
+        _read_versioned(path, src, _MODEL_KEYS)
     )
     # Not a ConfigError: a bad model file exits 1, not 2.
     with _naming(src, "config"):
         _check_saved_config(cfg)
     with _naming(src, "horizon"):
         check_setting("horizon", horizon, float, low=0, strict=True)
+    with _naming(src, "train_window"):
+        check_setting("train_window", window, float, low=0, strict=True)
+        if window > horizon:
+            raise ValueError(f"train_window {window!r} is beyond the horizon "
+                             f"{horizon!r}")
+    with _naming(src, "round"):
+        check_setting("round", rnd, int, low=0)
     with _naming(src, "eval_interval"):
         start, end = interval
         for t in (start, end):
@@ -408,6 +441,10 @@ def load_model(path):
     spec_args = _fields(encoder, encoder_keys, src, "encoder")
     with _naming(src, "encoder"):
         spec = EncoderSpec(*spec_args)
+    if spec.t_norm != horizon:
+        raise ValueError(f"{src} encoder.t_norm {spec.t_norm!r} is not the "
+                         f"horizon {horizon!r}")
+    _read_gaussian(theta, src, "theta", spec.n_params, "the encoder")
     states = [_read_client(node, spec, src, where)
               for where, node in _elements(clients, src, "clients")]
     return cfg, states, float(horizon), (float(start), float(end))
@@ -481,10 +518,7 @@ def _read_metadata_horizon(data_dir: Path) -> float:
     Its other keys are a record for the reader and are not read.
     """
     path = data_dir / "metadata.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path} does not hold a JSON object")
+    meta = _json_object(path, str(path))
     if "horizon" not in meta:
         raise ValueError(f"{path} has no 'horizon' key")
     check_setting("metadata.json horizon", meta["horizon"], float, low=0,
@@ -598,9 +632,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    kwargs = {"mmd_delta": args.mmd_delta} if args.method == "mmd" else {}
     try:
-        method = AggregationMethod(args.method, **kwargs)
+        method = _aggregation_method(args.method, {"mmd_delta": args.mmd_delta})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     records = read_param_records(args.input)
@@ -653,7 +686,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # malformed input; the message names it

@@ -28,6 +28,7 @@ __all__ = [
     "DatasetSplit",
     "PartitionPlan",
     "RbfSpec",
+    "check_resolution",
     "simulate_sgcp",
     "simulate_client",
     "superpose",
@@ -52,24 +53,35 @@ GROUND_TRUTH_GRID = 512
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
+def _numbers(values, error: str) -> np.ndarray:
+    """``values`` as an int or float array, or ``ValueError(error)``.
+
+    A ragged list, a non-number dtype and a bool fail, the last even in a
+    list that numpy reads as numbers.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged, e.g. [[1], [2, 3]]
+        raise ValueError(error) from None
+    if arr.dtype.kind not in "iuf" or not (
+        isinstance(values, np.ndarray) or arr.ndim != 1
+        or _BOOL_TYPES.isdisjoint(map(type, values))
+    ):
+        raise ValueError(error)
+    return arr
+
+
 def _integer_marks(marks) -> np.ndarray:
     """``marks`` as int64, or ValueError unless every one is an integer.
 
-    Integral floats in int64's range pass (NaN and infinities fail the
-    comparison); bools never do, even in a list that numpy reads as ints.
+    Marks are numbers (:func:`_numbers`); integral floats in int64's range
+    pass (NaN and infinities fail the comparison).
     """
-    try:
-        arr = np.asarray(marks)
-    except ValueError:  # ragged, e.g. [[1], [2, 3]]
-        raise ValueError("marks must be integers") from None
-    kind = arr.dtype.kind
-    if kind == "f":
+    arr = _numbers(marks, "marks must be integers")
+    if arr.dtype.kind == "f":
         ok = bool(((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))).all())
     else:  # every signed width, and unsigned below 64 bits, fits int64
-        ok = (kind == "i" or kind == "u" and arr.itemsize < 8) and (
-            isinstance(marks, np.ndarray) or arr.ndim != 1
-            or _BOOL_TYPES.isdisjoint(map(type, marks))
-        )
+        ok = arr.dtype.kind == "i" or arr.itemsize < 8
     if not ok:
         raise ValueError("marks must be integers")
     return arr.astype(np.int64, copy=False)
@@ -81,22 +93,12 @@ _PY_NUMBERS = frozenset((int, float))
 def _float_times(times) -> np.ndarray:
     """``times`` as float64, or ValueError unless every one is a number.
 
-    Times take an int or float dtype; bools never pass, even in a list that
-    numpy reads as numbers, and neither do strings.  A list or tuple of
-    Python ints and floats, the common case, is checked in one type pass.
+    A list or tuple of Python ints and floats, the common case, is checked
+    in one type pass; anything else by :func:`_numbers`.
     """
     if isinstance(times, (list, tuple)) and _PY_NUMBERS.issuperset(map(type, times)):
         return np.asarray(times, dtype=np.float64)
-    try:
-        arr = np.asarray(times)
-    except ValueError:  # ragged, e.g. [[0.1], [0.2, 0.3]]
-        raise ValueError("times must be numbers") from None
-    if arr.dtype.kind not in "iuf" or not (
-        isinstance(times, np.ndarray) or arr.ndim != 1
-        or _BOOL_TYPES.isdisjoint(map(type, times))
-    ):
-        raise ValueError("times must be numbers")
-    return arr.astype(np.float64, copy=False)
+    return _numbers(times, "times must be numbers").astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -210,19 +212,19 @@ class RbfSpec:
         return np.multiply(self.variance, out, out=out)
 
 
-def _conditional_draw(kernel, x_new, grid, alpha, factor, nu, rng):
-    """Draw f(x_new) given the grid draw under a GP(nu, kernel).
+def _conditional_draw(kernel, x_new, grid, alpha, factor, rng):
+    """Draw f(x_new) given the grid draw under a GP(0, kernel).
 
     ``factor`` is the Cholesky factor of the grid gram K and ``alpha`` its
-    solve against ``f_grid - nu``.  Each point gets its conditional mean
-    ``nu + k alpha`` plus independent noise of its conditional variance
+    solve against ``f_grid``.  Each point gets its conditional mean
+    ``k alpha`` plus independent noise of its conditional variance
     ``k(t, t) - ||v||^2``, where ``v = L^-1 k^T`` is one triangular sweep
     (:func:`half_solve_with`) written over the cross gram's buffer.
     """
     if len(x_new) == 0:
         return np.empty(0)
     k_no = kernel.gram(x_new, grid)
-    mean = nu + k_no @ alpha
+    mean = k_no @ alpha
     # k_no.T is Fortran-ordered, so the sweep overwrites it without a copy.
     v = half_solve_with(factor, k_no.T)  # (n_grid, n_new)
     # The RBF kernel's diagonal k(t, t) is its variance.
@@ -248,7 +250,7 @@ def _grid_and_factor(kernel: RbfSpec, horizon):
     return grid, (upper, False)
 
 
-def _check_resolution(kernel, horizon):
+def check_resolution(kernel, horizon):
     """Reject a length scale under two ground-truth grid spacings.
 
     A coarser grid does not pin f between its nodes: sequences would stop
@@ -296,7 +298,7 @@ def simulate_sgcp(m, f, horizon, seed):
     return seq, (grid, m * expit(f_at(grid)))
 
 
-def simulate_client(m, kernel, horizon, n_seqs, seed, nu=0.0):
+def simulate_client(m, kernel, horizon, n_seqs, seed):
     """Sample several sequences sharing one latent intensity draw.
 
     f is drawn once on the ground-truth grid and solved against its gram
@@ -313,14 +315,14 @@ def simulate_client(m, kernel, horizon, n_seqs, seed, nu=0.0):
         raise TypeError("kernel must be an RbfSpec")
     check_setting("n_seqs", n_seqs, int, low=1)
     _check_rate(m, horizon)
-    _check_resolution(kernel, horizon)
+    check_resolution(kernel, horizon)
     rng = np.random.default_rng(seed)
     grid, factor = _grid_and_factor(kernel, horizon)
-    f_grid = nu + factor[0].T @ rng.standard_normal(grid.size)
-    alpha = solve_with(factor, f_grid - nu)
+    f_grid = factor[0].T @ rng.standard_normal(grid.size)
+    alpha = solve_with(factor, f_grid)
 
     def f_at(t):
-        return _conditional_draw(kernel, t, grid, alpha, factor, nu, rng)
+        return _conditional_draw(kernel, t, grid, alpha, factor, rng)
 
     seqs = [_thin(m, horizon, rng, f_at) for _ in range(n_seqs)]
     return seqs, (grid, m * expit(f_grid))

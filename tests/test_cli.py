@@ -760,6 +760,11 @@ def _put(*path, value):
     return edit
 
 
+def _cut(payload):
+    """An edit that leaves the file's JSON text cut short."""
+    return json.dumps(payload)[:25]
+
+
 class TestMalformedFiles:
     """A malformed model, record or metadata file exits 1 with an error that
     names the file and the key path."""
@@ -776,9 +781,31 @@ class TestMalformedFiles:
          "has no 'records[0].var' key"),
         ("metadata", _pop("horizon"), "has no 'horizon' key"),
         ("metadata", lambda payload: [1, 2], "does not hold a JSON object"),
+        ("model", _cut, "is not valid JSON"),
+        ("records", _cut, "is not valid JSON"),
+        ("metadata", _cut, "is not valid JSON"),
+        ("model", _put("encoder", "t_norm", value=2.0),
+         "encoder.t_norm 2.0 is not the horizon 1.0"),
+        ("model", _put("encoder", "hidden_dim", value=16),
+         "theta has dimension"),
+        ("model", _put("clients", 0, "phi", value={"mean": [0.0],
+                                                   "var": [1.0]}),
+         "clients[0].phi has dimension 1, not the"),
+        ("model", _put("theta", value="garbage"), "theta is not a JSON object"),
+        ("model", _put("theta", value={"mean": [0.0], "var": [1.0]}),
+         "theta has dimension 1, not the"),
+        ("model", _put("round", value=-5), "round: round must be >= 0"),
+        ("model", _put("train_window", value="x"),
+         "train_window: train_window must be a number"),
+        ("model", _put("train_window", value=2.0),
+         "train_window 2.0 is beyond the horizon 1.0"),
     ], ids=["model-no-encoder", "model-client-no-phi", "model-client-int",
             "model-encoder-extra-key", "records-no-dim", "records-no-var",
-            "metadata-no-horizon", "metadata-list"])
+            "metadata-no-horizon", "metadata-list", "model-truncated",
+            "records-truncated", "metadata-truncated", "model-t_norm-horizon",
+            "model-encoder-hidden_dim", "model-phi-length", "model-theta-string",
+            "model-theta-length", "model-round-negative",
+            "model-train_window-string", "model-train_window-beyond"])
     def test_error_names_file_and_key(self, tmp_path, config_path, data_dir,
                                       capsys, target, edit, message):
         model = tmp_path / "model.json"
@@ -799,7 +826,8 @@ class TestMalformedFiles:
             path, kind = tmp_path / "data" / "metadata.json", ""
             argv = ["train", "--config", config_path, "--data", data_dir,
                     "--metrics", str(tmp_path / "m.csv")]
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        edited = edit(json.loads(path.read_text()))
+        path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         capsys.readouterr()
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -821,6 +849,38 @@ class TestMalformedFiles:
         )
         assert done.returncode == 1
         assert done.stderr == f"error: {path} has no 'horizon' key\n"
+
+    @pytest.mark.parametrize("kind", [
+        "yaml-unclosed", "yaml-tab", "time-split-directory",
+        "sequence-split-file",
+    ])
+    def test_usage_error_exits_2_without_traceback(self, tmp_path,
+                                                   config_path, data_dir,
+                                                   time_layout, kind):
+        # A config that is not YAML, or a --data path of the wrong kind.
+        config, data = time_layout
+        if kind.startswith("yaml"):
+            config = tmp_path / f"{kind}.yaml"
+            config.write_text("seed: [1, 2\n" if kind == "yaml-unclosed"
+                              else "seed: 1\nrounds:\n\t- 2\n")
+        elif kind == "time-split-directory":
+            data = data_dir
+        else:
+            config = config_path
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "fedcox.cli", "train", "--config",
+             str(config), "--data", str(data), "--metrics",
+             str(tmp_path / "m.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        if kind.startswith("yaml"):
+            assert f"config file {config} is not valid YAML" in done.stderr
 
     @pytest.mark.parametrize("error, traced", [
         (ValueError("bad input"), False),
@@ -904,13 +964,17 @@ class TestAggregateCommand:
             outs.append(dst.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("delta", ["0", "-1", "nan"])
-    def test_invalid_mmd_delta_exits_2(self, tmp_path, delta, capsys):
+    @pytest.mark.parametrize("method, delta", [
+        ("mmd", "0"), ("mmd", "-1"), ("mmd", "nan"),
+        ("kl", "0"), ("kl", "-1"), ("kl", "nan"),
+    ], ids=["0", "-1", "nan", "kl-0", "kl--1", "kl-nan"])
+    def test_invalid_mmd_delta_exits_2(self, tmp_path, method, delta, capsys):
+        # The knob is checked under every method, as in a config file.
         src = tmp_path / "in.json"
         write_param_records(
             [DiagGaussian(np.array([0.0]), np.array([1.0]))], src
         )
-        assert main(["aggregate", "--method", "mmd", "--in", str(src),
+        assert main(["aggregate", "--method", method, "--in", str(src),
                      "--out", str(tmp_path / "o.json"),
                      "--mmd-delta", delta]) == 2
         assert "mmd_delta" in capsys.readouterr().err

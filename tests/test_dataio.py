@@ -50,9 +50,9 @@ class TestEventSequence:
     @pytest.mark.parametrize("bad", [
         [1.5, 2.0], [True, 0], ["1", "2"], np.array([True, False]),
         [math.nan, 1.0], [math.inf, 1.0], [1e30, 1.0],
-        np.array([2**63], dtype=np.uint64)[[0, 0]],
+        np.array([2**63], dtype=np.uint64)[[0, 0]], [1.0, True],
     ], ids=["fractional", "bool-in-ints", "strings", "bool-array", "nan",
-            "inf", "past-int64", "uint64-past-int64"])
+            "inf", "past-int64", "uint64-past-int64", "bool-in-floats"])
     def test_rejects_non_integer_marks(self, bad):
         with pytest.raises(ValueError, match="marks must be integers"):
             EventSequence(times=np.array([0.1, 0.2]), horizon=1.0, marks=bad)
@@ -360,10 +360,10 @@ class TestGeneratedDataPinned:
         ((50.0, RbfSpec(2.0, 0.125), 1.0, 12, 4), {},
          "88c9e04c4b3c71a7e779ee49e95e2deec75feb169410d3de6eed36fe09a3488a",
          "b23ae57fce230654e9767c2f0a509104e2a7d195ecd2d6bad7d93276229c9ad7"),
-        ((20.0, RbfSpec(1.5, 0.5), 7.5, 6, 5), {"nu": 0.3},
-         "ba2db4c832651f234eb3449e5b4e69cf672780783af05850dd9c7e1952845f43",
-         "694883e0630fbf0cb48402c82d27faf19e3f501f721d76a67fe83a0134d82f17"),
-    ], ids=["criterion-8-a", "criterion-8-b", "nu-horizon-7.5"])
+        ((20.0, RbfSpec(1.5, 0.5), 7.5, 6, 5), {},
+         "dea0ea1a78370be684b7cf185de8922c0e3ad155fa19f337a49ff362641df366",
+         "52b66777207c1df8068ebfc22c20f4e0963fbb31bf029467aa218ad53f5e15b4"),
+    ], ids=["criterion-8-a", "criterion-8-b", "horizon-7.5"])
     def test_simulate_client(self, args, kwargs, events, full):
         seqs, truth = simulate_client(*args, **kwargs)
         assert draw_digest(seqs, truth, intensity=False) == events
@@ -420,7 +420,7 @@ class TestGridResolution:
                             counting(half_solves, dataio.half_solve_with))
         seqs, _ = simulate_client(50.0, RbfSpec(1.5, 0.1), 1.0, 4, 3)
         assert all(len(s) > 0 for s in seqs)
-        # One full solve of f_grid - nu, then one triangular sweep per
+        # One full solve of f_grid, then one triangular sweep per
         # sequence's candidates.
         assert solves == [(dataio.GROUND_TRUTH_GRID,)]
         assert len(half_solves) == 4
@@ -444,8 +444,7 @@ class TestGridResolution:
             kernel = RbfSpec(1.5, length)
             grid, factor = dataio._grid_and_factor(kernel, horizon)
             std = dataio._conditional_draw(
-                kernel, cand, grid, np.zeros(grid.size), factor, 0.0,
-                UnitNormals(),
+                kernel, cand, grid, np.zeros(grid.size), factor, UnitNormals(),
             )
             assert np.max(std**2) <= 1e-4 * kernel.variance, length
 
@@ -555,10 +554,12 @@ class TestJsonl:
          "marks"),
         ('{"times": [0.1, 0.2], "marks": [true, 0], "horizon": 1.0}', "marks"),
         ('{"times": [0.1, 0.2], "marks": "12", "horizon": 1.0}', "marks"),
+        ('{"times": [0.1, 0.2], "marks": [1.0, true], "horizon": 1.0}',
+         "marks"),
     ], ids=["non-numeric-times", "scalar-times", "fractional-marks",
             "ragged-marks", "number-record", "null-record", "list-horizon",
             "bool-horizon", "bool-times", "mark-beyond-int64", "bool-marks",
-            "string-marks"])
+            "string-marks", "bool-in-float-marks"])
     def test_malformed_record_names_line(self, tmp_path, record, named):
         path = tmp_path / "malformed.jsonl"
         path.write_text('{"times": [0.1], "horizon": 1.0}\n' + record + "\n")
