@@ -850,19 +850,26 @@ class TestMalformedFiles:
         assert done.returncode == 1
         assert done.stderr == f"error: {path} has no 'horizon' key\n"
 
+    # Config files that YAML cannot read: a syntax error, a tab indent, a
+    # date that does not exist and text that is not UTF-8.
+    _BAD_YAML = {
+        "yaml-unclosed": b"seed: [1, 2\n",
+        "yaml-tab": b"seed: 1\nrounds:\n\t- 2\n",
+        "yaml-date": b"seed: 2020-13-45\n",
+        "yaml-not-utf8": b"\xff\xfe seed: 1\n",
+    }
+
     @pytest.mark.parametrize("kind", [
-        "yaml-unclosed", "yaml-tab", "time-split-directory",
-        "sequence-split-file",
+        *_BAD_YAML, "time-split-directory", "sequence-split-file",
     ])
     def test_usage_error_exits_2_without_traceback(self, tmp_path,
                                                    config_path, data_dir,
                                                    time_layout, kind):
         # A config that is not YAML, or a --data path of the wrong kind.
         config, data = time_layout
-        if kind.startswith("yaml"):
+        if kind in self._BAD_YAML:
             config = tmp_path / f"{kind}.yaml"
-            config.write_text("seed: [1, 2\n" if kind == "yaml-unclosed"
-                              else "seed: 1\nrounds:\n\t- 2\n")
+            config.write_bytes(self._BAD_YAML[kind])
         elif kind == "time-split-directory":
             data = data_dir
         else:
@@ -879,7 +886,7 @@ class TestMalformedFiles:
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
-        if kind.startswith("yaml"):
+        if kind in self._BAD_YAML:
             assert f"config file {config} is not valid YAML" in done.stderr
 
     @pytest.mark.parametrize("error, traced", [
