@@ -135,9 +135,10 @@ def _check_keys(cfg: dict) -> None:
         raise ConfigError(f"unknown generate keys: {sorted(unknown)}")
 
 
-def _check_saved_config(cfg) -> None:
+def _check_saved_config(cfg) -> FedConfig:
     """Check a resolved config read back from a file, as :func:`load_config`
-    checks its result; every default key must be present."""
+    checks its result; every default key must be present.  Returns its
+    :class:`FedConfig`."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a mapping, got {cfg!r}")
     _check_keys(cfg)
@@ -146,10 +147,10 @@ def _check_saved_config(cfg) -> None:
                 if k not in (cfg.get("generate") or {})]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
-    _validate_config(cfg)
+    return _validate_config(cfg)
 
 
-def _validate_config(cfg: dict) -> None:
+def _validate_config(cfg: dict) -> FedConfig:
     if cfg["split"] not in ("sequence", "time"):
         raise ConfigError("split must be 'sequence' or 'time'")
     gen = cfg["generate"]
@@ -176,7 +177,7 @@ def _validate_config(cfg: dict) -> None:
             check_setting(key, cfg.get(key), int, low=1)
     if cfg["split"] == "time" and cfg["types_per_client"] >= cfg["event_types"]:
         raise ConfigError("types_per_client must be < event_types")
-    fed_config(cfg)
+    return fed_config(cfg)
 
 
 def _kernel_spec(pair) -> dataio.RbfSpec:
@@ -384,12 +385,12 @@ def _read_client(node, spec, src: str, where: str) -> cl.PredictiveState:
 
 
 # The keys of a model file, after the packing version, in writing order.
-_MODEL_KEYS = ("config", "horizon", "train_window", "eval_interval",
-               "encoder", "theta", "round", "clients")
+# The encoder, training window and evaluation interval follow from the
+# config and the horizon, and are not stored.
+_MODEL_KEYS = ("config", "horizon", "theta", "round", "clients")
 
 
-def save_model(path, server, clients, cfg, horizon, train_window,
-               eval_interval):
+def save_model(path, server, clients, cfg, horizon):
     """Write the trained model and the resolved config (``cfg``) of its run.
 
     Client records are built, encoded and written one at a time, and the
@@ -398,56 +399,36 @@ def save_model(path, server, clients, cfg, horizon, train_window,
     _write_versioned(path, {
         "config": cfg,
         "horizon": horizon,
-        "train_window": train_window,
-        "eval_interval": list(eval_interval),
-        "encoder": dataclasses.asdict(clients[0].spec),
         "theta": _gaussian_json(server.theta),
         "round": server.round,
     }, "clients", map(_client_json, clients))
 
 
 def load_model(path):
-    """The saved run config, each client's predictive state, the horizon
-    and the evaluation interval ``(start, end)``.
+    """The saved run config, each client's predictive state and the horizon.
 
     The file must hold what :func:`save_model` writes and nothing else; a
     missing, unknown or malformed value is a ValueError naming the file
     and the key path.  The config is checked by :func:`load_config`'s
-    rules, without ``FEDPP_SEED``.  The encoder normalizes times by the
-    horizon, and ``theta`` and each client's ``phi`` hold one entry per
+    rules, without ``FEDPP_SEED``.  The encoder is the run's, built from
+    the config and the horizon as :func:`~fedcox.orchestrator.build_clients`
+    builds it, and ``theta`` and each client's ``phi`` hold one entry per
     encoder parameter.
     """
     src = f"model file {path}"
-    cfg, horizon, window, interval, encoder, theta, rnd, clients = (
-        _read_versioned(path, src, _MODEL_KEYS)
-    )
+    cfg, horizon, theta, rnd, clients = _read_versioned(path, src, _MODEL_KEYS)
     # Not a ConfigError: a bad model file exits 1, not 2.
     with _naming(src, "config"):
-        _check_saved_config(cfg)
+        config = _check_saved_config(cfg)
     with _naming(src, "horizon"):
         check_setting("horizon", horizon, float, low=0, strict=True)
-    with _naming(src, "train_window"):
-        check_setting("train_window", window, float, low=0, strict=True)
-        if window > horizon:
-            raise ValueError(f"train_window {window!r} is beyond the horizon "
-                             f"{horizon!r}")
     with _naming(src, "round"):
         check_setting("round", rnd, int, low=0)
-    with _naming(src, "eval_interval"):
-        start, end = interval
-        for t in (start, end):
-            check_setting("eval_interval entry", t, float)
-    encoder_keys = [f.name for f in dataclasses.fields(EncoderSpec)]
-    spec_args = _fields(encoder, encoder_keys, src, "encoder")
-    with _naming(src, "encoder"):
-        spec = EncoderSpec(*spec_args)
-    if spec.t_norm != horizon:
-        raise ValueError(f"{src} encoder.t_norm {spec.t_norm!r} is not the "
-                         f"horizon {horizon!r}")
+    spec = EncoderSpec(config.hidden_dim, config.embed_dim, float(horizon))
     _read_gaussian(theta, src, "theta", spec.n_params, "the encoder")
     states = [_read_client(node, spec, src, where)
               for where, node in _elements(clients, src, "clients")]
-    return cfg, states, float(horizon), (float(start), float(end))
+    return cfg, states, float(horizon)
 
 
 # ----------------------------------------------------------------------
@@ -593,7 +574,7 @@ def cmd_train(args) -> int:
             train_window=window,
         )
     if args.model:
-        save_model(args.model, server, clients, cfg, horizon, window, interval)
+        save_model(args.model, server, clients, cfg, horizon)
     print(f"completed {len(history)} rounds; metrics in {metrics_path}")
     return 0
 
@@ -612,14 +593,13 @@ def _by_client_id(states, n_clients):
 
 
 def cmd_eval(args) -> int:
-    cfg, states, horizon, interval = load_model(args.model)
-    _, test_sets, data_horizon, _, data_interval = _load_dataset(args.data,
-                                                                 cfg)
-    if (horizon, interval) != (data_horizon, data_interval):
+    cfg, states, horizon = load_model(args.model)
+    # The saved split fixes the interval for a given horizon.
+    _, test_sets, data_horizon, _, interval = _load_dataset(args.data, cfg)
+    if horizon != data_horizon:
         raise ValueError(
-            f"model file {args.model} was trained with horizon {horizon!r} "
-            f"and evaluation interval {interval!r}, but {args.data} has "
-            f"horizon {data_horizon!r} and interval {data_interval!r}"
+            f"model file {args.model} was trained with horizon {horizon!r}, "
+            f"but {args.data} has horizon {data_horizon!r}"
         )
     states = _by_client_id(states, len(test_sets))
     values = []
@@ -686,8 +666,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:
+    except (ConfigError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # malformed input; the message names it

@@ -32,11 +32,14 @@ __all__ = [
     "check_setting",
 ]
 
-# Jitter escalates from JITTER_START to JITTER_MAX (times the mean diagonal)
-# in decade steps; deep-kernel Gram matrices go near-singular whenever the
-# embedding collapses, so plain Cholesky is not enough.
+# Jitter escalates from JITTER_START (times the mean diagonal) in decade
+# steps, JITTER_RUNGS of them, to 1e-2 times the mean diagonal; deep-kernel
+# Gram matrices go near-singular whenever the embedding collapses, so plain
+# Cholesky is not enough.  The rungs are counted: the repeated products can
+# round one ulp above 1e-2 times the scale, so a bound on the jitter itself
+# would skip the top rung for some scales.
 JITTER_START = 1e-8
-JITTER_MAX = 1e-2
+JITTER_RUNGS = 7
 
 # pg_mean switches to a Taylor series below this to avoid 0/0.
 _PG_SERIES_CUTOFF = 1e-4
@@ -200,8 +203,8 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
 
     By default a clean factorization is attempted first (well-conditioned
     matrices must round-trip tightly); on failure the jitter ladder starts
-    at ``1e-8 * mean(diag)`` and multiplies by 10 up to
-    ``1e-2 * mean(diag)``.  With ``baseline=True`` the ladder's first rung
+    at ``1e-8 * mean(diag)`` and multiplies by 10, seven rungs in all, up
+    to ``1e-2 * mean(diag)``.  With ``baseline=True`` the ladder's first rung
     is applied unconditionally, which keeps quantities derived from
     near-singular kernel grams continuous in the kernel parameters (the
     clean-first policy makes them jump wherever a parameter perturbation
@@ -223,6 +226,7 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
     if not np.isfinite(scale) or scale <= 0:
         scale = 1.0
     jitter = JITTER_START * scale if baseline else 0.0
+    rungs = int(baseline)  # jittered rungs tried, this one included
     while True:
         c = np.array(a, order="F")
         if jitter:
@@ -242,12 +246,12 @@ def chol_factor_jittered(a: np.ndarray, label: str = "matrix",
         # info > 0: a leading minor is not positive definite.  Drop the
         # failed factor now, or it stays alive through the next rung.
         del c
-        jitter = JITTER_START * scale if jitter == 0.0 else 10.0 * jitter
-        if jitter > JITTER_MAX * scale:
+        if rungs == JITTER_RUNGS:
             raise FactorizationError(
-                f"{label}: Cholesky failed even at jitter "
-                f"{JITTER_MAX * scale:.3e}"
+                f"{label}: Cholesky failed even at jitter {jitter:.3e}"
             )
+        jitter = JITTER_START * scale if rungs == 0 else 10.0 * jitter
+        rungs += 1
 
 
 def chol_logdet(factor) -> float:

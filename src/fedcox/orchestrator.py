@@ -228,11 +228,15 @@ def run_round(server: ServerState, clients, config: FedConfig,
     client's current state on these test sets and interval.  A score is a
     function of the state alone, so ``eval_all`` reuses it for a
     non-participant; the round's scores are written back at the commit.
-    Test sets without an ``eval_interval`` raise ValueError before any
-    participant runs.
+    Test sets without an ``eval_interval``, or not one per client, raise
+    ValueError before any participant runs.
     """
     if test_sets and eval_interval is None:
         raise ValueError("test_sets need an eval_interval to be scored on")
+    if test_sets and len(test_sets) != config.n_clients:
+        raise ValueError(
+            f"{len(test_sets)} test sets for {config.n_clients} clients"
+        )
     participants = sample_participants(server.round, config)
     theta = server.theta
     jobs = {}

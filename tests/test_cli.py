@@ -410,8 +410,9 @@ class TestTrain:
         for row in lines[1:]:
             assert np.isfinite(float(row.split(",")[2]))
         payload = json.loads(model.read_text())
-        assert payload["train_window"] == 60.0
-        assert payload["eval_interval"] == [80.0, 100.0]
+        assert list(payload) == ["version", "config", "horizon", "theta",
+                                 "round", "clients"]
+        assert payload["horizon"] == 100.0
 
     def test_time_split_builds_each_part_once(self, time_layout,
                                               monkeypatch):
@@ -505,7 +506,7 @@ def sixteen_client_model():
 
 def save(path, model):
     server, clients, cfg = model
-    cli.save_model(path, server, clients, cfg, 1.0, 1.0, (0.0, 1.0))
+    cli.save_model(path, server, clients, cfg, 1.0)
 
 
 class TestSaveModel:
@@ -634,9 +635,8 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--data", str(other)]) == 1
         captured = capsys.readouterr()
-        assert (f"model file {model} was trained with horizon 1.0 and "
-                f"evaluation interval (0.0, 1.0), but {other} has horizon 2.0 "
-                "and interval (0.0, 2.0)") in captured.err
+        assert (f"model file {model} was trained with horizon 1.0, but "
+                f"{other} has horizon 2.0") in captured.err
         assert "test loglik" not in captured.out
 
     def test_model_without_config_rejected(self, tmp_path, config_path,
@@ -658,11 +658,10 @@ class TestEval:
         (("clients", 0, "nu"), float("inf"), "client 0 nu must be finite"),
         (("clients", 0, "inducing", "mean", 1), float("nan"),
          "inducing posterior entries must be finite"),
-        (("encoder", "t_norm"), float("nan"), "t_norm must be finite"),
         (("clients", 0, "id"), "0", "client id must be an integer"),
         (("clients", 0, "id"), -1, "client id must be >= 0"),
-    ], ids=["m-nan", "m-negative", "nu-inf", "inducing-nan", "t_norm-nan",
-            "id-string", "id-negative"])
+    ], ids=["m-nan", "m-negative", "nu-inf", "inducing-nan", "id-string",
+            "id-negative"])
     def test_bad_model_numbers_rejected(self, tmp_path, config_path, data_dir,
                                         capsys, where, value, message):
         model = tmp_path / "model.json"
@@ -770,12 +769,11 @@ class TestMalformedFiles:
     names the file and the key path."""
 
     @pytest.mark.parametrize("target, edit, message", [
-        ("model", _pop("encoder"), "has no 'encoder' key"),
         ("model", _pop("clients", 0, "phi"), "has no 'clients[0].phi' key"),
         ("model", _put("clients", value=[1]),
          "clients[0] is not a JSON object"),
-        ("model", _put("encoder", "extra", value=1),
-         "has unknown keys ['encoder.extra']"),
+        ("model", _put("clients", 0, "inducing", "extra", value=1),
+         "has unknown keys ['clients[0].inducing.extra']"),
         ("records", _pop("dim"), "has no 'dim' key"),
         ("records", _pop("records", 0, "var"),
          "has no 'records[0].var' key"),
@@ -784,9 +782,8 @@ class TestMalformedFiles:
         ("model", _cut, "is not valid JSON"),
         ("records", _cut, "is not valid JSON"),
         ("metadata", _cut, "is not valid JSON"),
-        ("model", _put("encoder", "t_norm", value=2.0),
-         "encoder.t_norm 2.0 is not the horizon 1.0"),
-        ("model", _put("encoder", "hidden_dim", value=16),
+        # The encoder is built from the saved config, not stored.
+        ("model", _put("config", "hidden_dim", value=16),
          "theta has dimension"),
         ("model", _put("clients", 0, "phi", value={"mean": [0.0],
                                                    "var": [1.0]}),
@@ -795,17 +792,17 @@ class TestMalformedFiles:
         ("model", _put("theta", value={"mean": [0.0], "var": [1.0]}),
          "theta has dimension 1, not the"),
         ("model", _put("round", value=-5), "round: round must be >= 0"),
-        ("model", _put("train_window", value="x"),
-         "train_window: train_window must be a number"),
-        ("model", _put("train_window", value=2.0),
-         "train_window 2.0 is beyond the horizon 1.0"),
-    ], ids=["model-no-encoder", "model-client-no-phi", "model-client-int",
+        # A file written when the model stored these three run facts.
+        ("model", lambda payload: {
+            **payload, "train_window": 1.0, "eval_interval": [0.0, 1.0],
+            "encoder": {"hidden_dim": 32, "output_dim": 8, "t_norm": 1.0},
+        }, "has unknown keys ['encoder', 'eval_interval', 'train_window']"),
+    ], ids=["model-client-no-phi", "model-client-int",
             "model-encoder-extra-key", "records-no-dim", "records-no-var",
             "metadata-no-horizon", "metadata-list", "model-truncated",
-            "records-truncated", "metadata-truncated", "model-t_norm-horizon",
+            "records-truncated", "metadata-truncated",
             "model-encoder-hidden_dim", "model-phi-length", "model-theta-string",
-            "model-theta-length", "model-round-negative",
-            "model-train_window-string", "model-train_window-beyond"])
+            "model-theta-length", "model-round-negative", "model-old-format"])
     def test_error_names_file_and_key(self, tmp_path, config_path, data_dir,
                                       capsys, target, edit, message):
         model = tmp_path / "model.json"
@@ -861,25 +858,34 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("kind", [
         *_BAD_YAML, "time-split-directory", "sequence-split-file",
+        "generate-out-file", "metrics-under-file",
     ])
     def test_usage_error_exits_2_without_traceback(self, tmp_path,
                                                    config_path, data_dir,
                                                    time_layout, kind):
-        # A config that is not YAML, or a --data path of the wrong kind.
+        # A config that is not YAML, a --data path of the wrong kind, or a
+        # file where --out or --metrics needs a directory.
         config, data = time_layout
+        metrics = tmp_path / "m.csv"
+        afile = tmp_path / "afile"
+        afile.write_text("")
         if kind in self._BAD_YAML:
             config = tmp_path / f"{kind}.yaml"
             config.write_bytes(self._BAD_YAML[kind])
         elif kind == "time-split-directory":
             data = data_dir
-        else:
+        elif kind == "sequence-split-file":
             config = config_path
+        elif kind == "metrics-under-file":
+            metrics = afile / "m.csv"
+        argv = ["train", "--config", str(config), "--data", str(data),
+                "--metrics", str(metrics)]
+        if kind == "generate-out-file":
+            argv = ["generate", "--config", config_path, "--out", str(afile)]
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         done = subprocess.run(
-            [sys.executable, "-m", "fedcox.cli", "train", "--config",
-             str(config), "--data", str(data), "--metrics",
-             str(tmp_path / "m.csv")],
+            [sys.executable, "-m", "fedcox.cli", *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2

@@ -398,8 +398,21 @@ class TestCholSolve:
 
     def test_error_names_matrix(self):
         a = np.array([[1.0, 0.0], [0.0, -5.0]])  # indefinite beyond max jitter
-        with pytest.raises(FactorizationError, match="doomed gram"):
+        with pytest.raises(FactorizationError,
+                           match="doomed gram: .* even at jitter 1.000e-02"):
             chol_factor_jittered(a, "doomed gram")
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_top_rung_tried_at_every_scale(self, baseline):
+        # At this mean diagonal s, six products by 10 of 1e-8 * s round one
+        # ulp above 1e-2 * s; the matrix factors only at that 7th rung.
+        s = 0.5180360721442886
+        a = np.diag([2 * s + 0.005 * s, -0.005 * s])
+        _, jitter = chol_factor_jittered(a, baseline=baseline)
+        want = 1e-8 * s
+        for _ in range(6):
+            want *= 10.0
+        assert jitter == want > 1e-2 * s
 
 
 class TestExpit:

@@ -229,6 +229,32 @@ class TestRunRound:
         for cid in range(3):
             assert states_equal(clients[cid], snapshot[cid])
 
+    @pytest.mark.parametrize("n_test_sets", [1, 4])
+    def test_test_sets_not_one_per_client_rejected_before_any_update(
+            self, monkeypatch, n_test_sets):
+        rng = np.random.default_rng(4)
+        config = tiny_config(n_clients=2, participants_per_round=2)
+        server, clients = build_clients(config, tiny_dataset(rng, 2), 1.0)
+        theta0 = server.theta
+        snapshot = [copy.deepcopy(c) for c in clients]
+        updated = []
+        real = cl.client_update
+
+        def spy(state, *args, **kwargs):
+            updated.append(state.id)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr("fedcox.orchestrator.cl.client_update", spy)
+        with pytest.raises(ValueError,
+                           match=f"{n_test_sets} test sets for 2 clients"):
+            run_round(server, clients, config,
+                      tiny_dataset(rng, n_test_sets), (0.0, 1.0))
+        assert updated == []
+        assert server.theta is theta0
+        assert server.round == 0
+        for cid in range(2):
+            assert states_equal(clients[cid], snapshot[cid])
+
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_failure_names_client_that_is_not_first(self, monkeypatch,
                                                     n_workers):
