@@ -70,6 +70,7 @@ from .orchestrator import (
     RoundMetrics,
     ServerState,
     build_clients,
+    inducing_locations,
     run_round,
     run_training,
     sample_participants,

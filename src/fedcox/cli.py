@@ -7,7 +7,7 @@ config file.  Exit codes: 0 success; 2 an invalid config (file, flags,
 FEDPP_SEED, ``aggregate --mmd-delta``), a usage error, or a missing file
 or one of the wrong kind (a file for a directory or the reverse);
 1 a malformed data, model, record or metadata.json file, a layout or
-client-id mismatch, or a failed round.  Only a failed round or an
+client-count mismatch, or a failed round.  Only a failed round or an
 unexpected error logs a traceback.
 """
 from __future__ import annotations
@@ -29,7 +29,13 @@ from . import dataio
 from .aggregation import AGGREGATION_KINDS, AggregationMethod, aggregate
 from .kernel import PACKING_VERSION, EncoderSpec
 from .numerics import DiagGaussian, check_setting
-from .orchestrator import FedConfig, heldout_loglik, mean_finite, run_training
+from .orchestrator import (
+    FedConfig,
+    heldout_loglik,
+    inducing_locations,
+    mean_finite,
+    run_training,
+)
 
 __all__ = ["main", "load_config", "read_param_records", "write_param_records"]
 
@@ -355,43 +361,40 @@ def read_param_records(path) -> list:
 
 def _client_json(c) -> dict:
     return {
-        "id": c.id,
         "m": c.m,
         "nu": c.nu,
         "phi": _gaussian_json(c.phi),
-        "inducing": {
-            "locations": c.q_u.locations.tolist(),
-            "mean": c.q_u.mean.tolist(),
-            "cov": c.q_u.cov.tolist(),
-        },
+        "inducing": {"mean": c.q_u.mean.tolist(), "cov": c.q_u.cov.tolist()},
     }
 
 
-def _read_client(node, spec, src: str, where: str) -> cl.PredictiveState:
-    """The client that :func:`_client_json` wrote at ``where``."""
-    cid, m, nu, phi, inducing = _fields(
-        node, ("id", "m", "nu", "phi", "inducing"), src, where
-    )
-    q_u = _fields(inducing, ("locations", "mean", "cov"), src,
-                  f"{where}.inducing")
+def _read_client(cid, node, spec, locations, src: str,
+                 where: str) -> cl.PredictiveState:
+    """Client ``cid``, which :func:`_client_json` wrote at ``where``; its
+    inducing posterior sits at ``locations``."""
+    m, nu, phi, inducing = _fields(node, ("m", "nu", "phi", "inducing"),
+                                   src, where)
+    mean, cov = _fields(inducing, ("mean", "cov"), src, f"{where}.inducing")
     phi = _read_gaussian(phi, src, f"{where}.phi", spec.n_params,
                          "the encoder")
     with _naming(src, where):
-        check_setting("client id", cid, int, low=0)
         check_setting(f"client {cid} m", m, float, low=0, strict=True)
         check_setting(f"client {cid} nu", nu, float)
+        q_u = cl.InducingPosterior(locations, mean, cov)
         return cl.PredictiveState(id=cid, spec=spec, m=m, nu=nu, phi=phi,
-                                  q_u=cl.InducingPosterior(*q_u))
+                                  q_u=q_u)
 
 
 # The keys of a model file, after the packing version, in writing order.
-# The encoder, training window and evaluation interval follow from the
-# config and the horizon, and are not stored.
-_MODEL_KEYS = ("config", "horizon", "theta", "round", "clients")
+# The encoder, training window, evaluation interval, round count, client
+# ids and inducing grid follow from the config and the horizon, and are
+# not stored.
+_MODEL_KEYS = ("config", "horizon", "theta", "clients")
 
 
-def save_model(path, server, clients, cfg, horizon):
-    """Write the trained model and the resolved config (``cfg``) of its run.
+def save_model(path, theta, clients, cfg, horizon):
+    """Write the server's ``theta``, the trained ``clients`` in id order
+    and the resolved config (``cfg``) of their run.
 
     Client records are built, encoded and written one at a time, and the
     file is replaced atomically (:func:`_write_versioned`).
@@ -399,8 +402,7 @@ def save_model(path, server, clients, cfg, horizon):
     _write_versioned(path, {
         "config": cfg,
         "horizon": horizon,
-        "theta": _gaussian_json(server.theta),
-        "round": server.round,
+        "theta": _gaussian_json(theta),
     }, "clients", map(_client_json, clients))
 
 
@@ -410,25 +412,33 @@ def load_model(path):
     The file must hold what :func:`save_model` writes and nothing else; a
     missing, unknown or malformed value is a ValueError naming the file
     and the key path.  The config is checked by :func:`load_config`'s
-    rules, without ``FEDPP_SEED``.  The encoder is the run's, built from
-    the config and the horizon as :func:`~fedcox.orchestrator.build_clients`
-    builds it, and ``theta`` and each client's ``phi`` hold one entry per
-    encoder parameter.
+    rules, without ``FEDPP_SEED``, and the file must hold one client
+    record per client it sets.  The encoder and the inducing grid are the
+    run's, built from the config and the horizon as
+    :func:`~fedcox.orchestrator.build_clients` builds them; ``theta`` and
+    each client's ``phi`` hold one entry per encoder parameter, and a
+    client's id is its position in the file.
     """
     src = f"model file {path}"
-    cfg, horizon, theta, rnd, clients = _read_versioned(path, src, _MODEL_KEYS)
+    cfg, horizon, theta, clients = _read_versioned(path, src, _MODEL_KEYS)
     # Not a ConfigError: a bad model file exits 1, not 2.
     with _naming(src, "config"):
         config = _check_saved_config(cfg)
     with _naming(src, "horizon"):
         check_setting("horizon", horizon, float, low=0, strict=True)
-    with _naming(src, "round"):
-        check_setting("round", rnd, int, low=0)
-    spec = EncoderSpec(config.hidden_dim, config.embed_dim, float(horizon))
+    horizon = float(horizon)
+    spec = EncoderSpec(config.hidden_dim, config.embed_dim, horizon)
     _read_gaussian(theta, src, "theta", spec.n_params, "the encoder")
-    states = [_read_client(node, spec, src, where)
-              for where, node in _elements(clients, src, "clients")]
-    return cfg, states, float(horizon)
+    locations = inducing_locations(config, horizon)
+    states = [_read_client(cid, node, spec, locations, src, where)
+              for cid, (where, node)
+              in enumerate(_elements(clients, src, "clients"))]
+    if len(states) != config.n_clients:
+        raise ValueError(
+            f"{src} holds {len(states)} clients, but its config sets "
+            f"{config.n_clients}"
+        )
+    return cfg, states, horizon
 
 
 # ----------------------------------------------------------------------
@@ -520,12 +530,16 @@ def _load_dataset(data, cfg):
         horizon = _read_metadata_horizon(data_dir)
 
         def load(path):
+            # Every sequence is observed on [0, horizon]: the client's
+            # likelihood integral and the held-out score both span it.
             seqs = dataio.load_jsonl(path)
-            if any(seq.horizon > horizon for seq in seqs):
-                raise ValueError(
-                    f"{path} holds a sequence beyond the metadata.json "
-                    f"horizon {horizon!r}"
-                )
+            for seq in seqs:
+                if seq.horizon != horizon:
+                    raise ValueError(
+                        f"{path} holds a sequence of horizon "
+                        f"{seq.horizon!r}, not the metadata.json horizon "
+                        f"{horizon!r}"
+                    )
             return seqs
 
         train_sets, test_sets = [], []
@@ -574,22 +588,9 @@ def cmd_train(args) -> int:
             train_window=window,
         )
     if args.model:
-        save_model(args.model, server, clients, cfg, horizon)
+        save_model(args.model, server.theta, clients, cfg, horizon)
     print(f"completed {len(history)} rounds; metrics in {metrics_path}")
     return 0
-
-
-def _by_client_id(states, n_clients):
-    """``states`` in client-id order; the ids must be exactly 0..n-1."""
-    ids = [state.id for state in states]
-    if sorted(ids) != list(range(n_clients)):
-        expected = set(range(n_clients))
-        raise ValueError(
-            f"model client ids {ids} are not the data's clients "
-            f"0..{n_clients - 1}: missing {sorted(expected - set(ids))}, "
-            f"extra {sorted(set(ids) - expected)}"
-        )
-    return sorted(states, key=lambda state: state.id)
 
 
 def cmd_eval(args) -> int:
@@ -601,7 +602,6 @@ def cmd_eval(args) -> int:
             f"model file {args.model} was trained with horizon {horizon!r}, "
             f"but {args.data} has horizon {data_horizon!r}"
         )
-    states = _by_client_id(states, len(test_sets))
     values = []
     for state, test_seqs in zip(states, test_sets):
         values.append(heldout_loglik(state, test_seqs, interval))

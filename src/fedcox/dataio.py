@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,8 @@ SPLIT_BOUNDARIES = (
     TRAIN_FRACTION * NORMALIZED_HORIZON, VAL_FRACTION * NORMALIZED_HORIZON,
 )
 GROUND_TRUTH_GRID = 512
+# A byte that did not decode as UTF-8, read with errors="surrogateescape".
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
@@ -339,35 +342,61 @@ def superpose(a: EventSequence, b: EventSequence) -> EventSequence:
 
 
 def load_jsonl(path) -> list[EventSequence]:
-    """Read one sequence per line: {"times": [...], "marks?": [...], "horizon?": x}."""
+    """Read one sequence per line: {"times": [...], "marks?": [...], "horizon?": x}.
+
+    A malformed line, or one that is not UTF-8 text, is a ValueError
+    naming the file and the line.
+    """
     seqs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed JSON at line {lineno}: {exc}") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"line {lineno} is not a JSON object")
-            times = record.get("times")
-            if not isinstance(times, list):
-                raise ValueError(f"'times' must be an array at line {lineno}")
-            horizon = record.get("horizon")
-            if horizon is None:
-                if not times:
-                    raise ValueError(f"empty sequence without horizon at line {lineno}")
-                horizon = times[-1]
-            try:
-                seqs.append(EventSequence(times=times, horizon=horizon,
-                                          marks=record.get("marks")))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"invalid sequence at line {lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"malformed JSON at line {lineno}: {exc}") from None
+                if not isinstance(record, dict):
+                    raise ValueError(f"line {lineno} is not a JSON object")
+                times = record.get("times")
+                if not isinstance(times, list):
+                    raise ValueError(f"'times' must be an array at line {lineno}")
+                horizon = record.get("horizon")
+                if horizon is None:
+                    if not times:
+                        raise ValueError(f"empty sequence without horizon at line {lineno}")
+                    horizon = times[-1]
+                try:
+                    seqs.append(EventSequence(times=times, horizon=horizon,
+                                              marks=record.get("marks")))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"invalid sequence at line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # Text is decoded a block at a time, so the failing line is found
+        # by reading the file again.
+        raise ValueError(
+            f"{path}: line {_first_undecodable_line(path)} is not UTF-8 "
+            f"text ({exc.reason})"
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not seqs:
         log.warning("no sequences found in %s", path)
     return seqs
+
+
+def _first_undecodable_line(path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8 text.
+
+    Read with ``surrogateescape``, each byte that does not decode becomes
+    one of the lone surrogates U+DC80..U+DCFF; the lines split as
+    :func:`load_jsonl` splits them.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return next(lineno for lineno, line in enumerate(fh, start=1)
+                    if _ESCAPED_BYTE.search(line))
 
 
 def save_jsonl(seqs: list[EventSequence], path) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "ClientPayload",
     "RoundError",
     "build_clients",
+    "inducing_locations",
     "sample_participants",
     "heldout_loglik",
     "mean_finite",
@@ -121,6 +122,12 @@ class RoundMetrics:
     wall_time_ms: int
 
 
+def inducing_locations(config: FedConfig, horizon: float) -> np.ndarray:
+    """The inducing grid that every client shares: ``n_inducing`` evenly
+    spaced points inside (0, horizon)."""
+    return np.linspace(0.0, horizon, config.n_inducing + 2)[1:-1]
+
+
 def build_clients(config: FedConfig, train_sets, horizon: float,
                   train_window: float | None = None):
     """One client per training set, all sharing inducing grid and encoder.
@@ -146,7 +153,7 @@ def build_clients(config: FedConfig, train_sets, horizon: float,
     spec = EncoderSpec(config.hidden_dim, config.embed_dim, t_norm=horizon)
     theta = DiagGaussian(init_kernel_params(spec, config.seed),
                          np.ones(spec.n_params))
-    inducing = np.linspace(0.0, horizon, config.n_inducing + 2)[1:-1]
+    inducing = inducing_locations(config, horizon)
     grid = trapezoid_grid(train_window, config.quad_nodes)
     # Every client starts q(u) at the same prior gram; each gets a copy.
     k_zz = kernel_matrix(inducing, inducing, KernelParams(theta.mean, spec))

@@ -326,7 +326,9 @@ class TestTrain:
         assert main(["train", "--config", config_path, "--data", data_dir,
                      "--metrics", str(tmp_path / "m.csv"),
                      "--model", str(model)]) == 0
-        assert json.loads(model.read_text())["round"] == 2
+        payload = json.loads(model.read_text())
+        assert list(payload["theta"]) == ["mean", "var"]
+        assert_client_records(payload, SMALL_CONFIG["clients"])
 
     def test_rerun_byte_identical_csv_and_model(self, tmp_path, config_path,
                                                 data_dir):
@@ -378,8 +380,8 @@ class TestTrain:
         (float("nan"), "metadata.json horizon must be finite"),
         ("abc", "metadata.json horizon must be a number"),
         (None, "metadata.json horizon must be a number"),
-        (0.5, "client_00.train.jsonl holds a sequence beyond the metadata.json "
-              "horizon 0.5"),
+        (0.5, "client_00.train.jsonl holds a sequence of horizon 1.0, not the "
+              "metadata.json horizon 0.5"),
     ], ids=["nan", "string", "null", "short"])
     def test_bad_metadata_horizon_rejected(self, tmp_path, config_path,
                                            data_dir, capsys, horizon, message,
@@ -399,6 +401,31 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not started
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_short_sequence_horizon_rejected(self, tmp_path, config_path,
+                                             data_dir, capsys, command):
+        # Under split: sequence every sequence is observed on the whole
+        # metadata.json horizon, so a shorter one is not scored past its
+        # end.
+        model = tmp_path / "model.json"
+        argv = ["train", "--config", config_path, "--data", data_dir,
+                "--metrics", str(tmp_path / "m.csv"), "--model", str(model)]
+        if command == "eval":
+            assert main(argv) == 0
+            argv = ["eval", "--model", str(model), "--data", data_dir]
+        test_path = os.path.join(data_dir, "client_00.test.jsonl")
+        dataio.save_jsonl([
+            dataio.EventSequence(times=seq.times[seq.times <= 0.3],
+                                 horizon=0.3)
+            for seq in dataio.load_jsonl(test_path)
+        ], test_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (f"error: {test_path} holds a sequence of horizon 0.3, not the "
+                f"metadata.json horizon 1.0") in captured.err
+        assert "test loglik" not in captured.out
+
     def test_time_split_workflow(self, tmp_path, time_layout):
         cfg_path, data = time_layout
         metrics = tmp_path / "metrics.csv"
@@ -411,7 +438,7 @@ class TestTrain:
             assert np.isfinite(float(row.split(",")[2]))
         payload = json.loads(model.read_text())
         assert list(payload) == ["version", "config", "horizon", "theta",
-                                 "round", "clients"]
+                                 "clients"]
         assert payload["horizon"] == 100.0
 
     def test_time_split_builds_each_part_once(self, time_layout,
@@ -496,6 +523,16 @@ class TestTrain:
         assert written == buf.getvalue() + "\n"
 
 
+def assert_client_records(payload, n_clients):
+    """``payload``'s clients are ``n_clients`` records of each client's own
+    parameters, with no id and no inducing locations."""
+    clients = payload["clients"]
+    assert len(clients) == n_clients
+    for record in clients:
+        assert list(record) == ["m", "nu", "phi", "inducing"]
+        assert list(record["inducing"]) == ["mean", "cov"]
+
+
 def sixteen_client_model():
     """A freshly built 16-client model with 50 inducing points each."""
     config = FedConfig(n_clients=16, participants_per_round=16, seed=3)
@@ -506,7 +543,7 @@ def sixteen_client_model():
 
 def save(path, model):
     server, clients, cfg = model
-    cli.save_model(path, server, clients, cfg, 1.0)
+    cli.save_model(path, server.theta, clients, cfg, 1.0)
 
 
 class TestSaveModel:
@@ -518,8 +555,33 @@ class TestSaveModel:
         for name in ("model.json", "records.json"):
             written = (tmp_path / name).read_text(encoding="utf-8")
             assert written == json.dumps(json.loads(written)) + "\n"
-        clients = json.loads((tmp_path / "model.json").read_text())["clients"]
-        assert [c["id"] for c in clients] == list(range(16))
+        assert_client_records(
+            json.loads((tmp_path / "model.json").read_text()), 16
+        )
+
+    def test_round_trip_derives_the_inducing_grid(self, tmp_path):
+        # The file stores no ids and no inducing locations; load_model
+        # derives both, bit-equal to what build_clients gave the clients.
+        cfg = load_config(overrides={"clients": 3, "participants": 3,
+                                     "n_inducing": 7, "hidden_dim": 2,
+                                     "embed_dim": 2})
+        seqs = [[dataio.EventSequence(times=[0.25, 1.5], horizon=2.5)]] * 3
+        server, clients = orchestrator.build_clients(fed_config(cfg), seqs,
+                                                     2.5)
+        path = tmp_path / "model.json"
+        cli.save_model(path, server.theta, clients, cfg, 2.5)
+        saved_cfg, states, horizon = cli.load_model(path)
+        assert saved_cfg == cfg and horizon == 2.5
+        assert [s.id for s in states] == [c.id for c in clients] == [0, 1, 2]
+        for state, client in zip(states, clients):
+            assert state.q_u.locations.size == 7
+            assert state.q_u.locations.tobytes() == client.q_u.locations.tobytes()
+            assert (state.m, state.nu) == (client.m, client.nu)
+            for got, want in ((state.phi.mean, client.phi.mean),
+                              (state.phi.var, client.phi.var),
+                              (state.q_u.mean, client.q_u.mean),
+                              (state.q_u.cov, client.q_u.cov)):
+                np.testing.assert_array_equal(got, want)
 
     def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
         model = sixteen_client_model()
@@ -548,7 +610,10 @@ class TestSaveModel:
         link.symlink_to(target)
         save(link, model)
         assert link.is_symlink()
-        assert json.loads(target.read_text())["round"] == model[0].round
+        payload = json.loads(target.read_text())
+        assert payload["theta"] == {"mean": model[0].theta.mean.tolist(),
+                                    "var": model[0].theta.var.tolist()}
+        assert_client_records(payload, 16)
         assert sorted(os.listdir(tmp_path / "store")) == ["model.json"]
 
     def test_peak_memory_under_file_size(self, tmp_path):
@@ -582,26 +647,14 @@ class TestEval:
         reported = float(out.strip().splitlines()[-1].split()[-1])
         assert reported == pytest.approx(final_mean, abs=1e-9)
 
-    def test_clients_paired_by_id(self, tmp_path, config_path, data_dir,
-                                  capsys):
-        model = tmp_path / "model.json"
-        assert main(["train", "--config", config_path, "--data", data_dir,
-                     "--metrics", str(tmp_path / "m.csv"),
-                     "--model", str(model)]) == 0
-        capsys.readouterr()
-        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
-        original = capsys.readouterr().out
-        assert re.search(r"^client 0: .*^client 1: ", original, re.M | re.S)
-        payload = json.loads(model.read_text())
-        payload["clients"].reverse()
-        model.write_text(json.dumps(payload))
-        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
-        assert capsys.readouterr().out == original
-
     @pytest.mark.parametrize("edit, message", [
-        (lambda clients: clients.pop(), "missing [1], extra []"),
-        (lambda clients: clients[1].update(id=5), "missing [1], extra [5]"),
-        (lambda clients: clients[0].update(id=1), "missing [0], extra []"),
+        (lambda clients: clients.pop(),
+         "holds 1 clients, but its config sets 2"),
+        # A client's id is its position; files that stored ids are rejected.
+        (lambda clients: clients[1].update(id=5),
+         "has unknown keys ['clients[1].id']"),
+        (lambda clients: clients[1].update(id=0),
+         "has unknown keys ['clients[1].id']"),
     ], ids=["truncated", "unknown-id", "repeated-id"])
     def test_client_ids_must_match_the_data(self, tmp_path, config_path,
                                             data_dir, capsys, edit, message):
@@ -615,6 +668,7 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--data", data_dir]) == 1
         captured = capsys.readouterr()
+        assert f"error: model file {model} " in captured.err
         assert message in captured.err
         assert "test loglik" not in captured.out
 
@@ -658,10 +712,7 @@ class TestEval:
         (("clients", 0, "nu"), float("inf"), "client 0 nu must be finite"),
         (("clients", 0, "inducing", "mean", 1), float("nan"),
          "inducing posterior entries must be finite"),
-        (("clients", 0, "id"), "0", "client id must be an integer"),
-        (("clients", 0, "id"), -1, "client id must be >= 0"),
-    ], ids=["m-nan", "m-negative", "nu-inf", "inducing-nan", "id-string",
-            "id-negative"])
+    ], ids=["m-nan", "m-negative", "nu-inf", "inducing-nan"])
     def test_bad_model_numbers_rejected(self, tmp_path, config_path, data_dir,
                                         capsys, where, value, message):
         model = tmp_path / "model.json"
@@ -791,7 +842,8 @@ class TestMalformedFiles:
         ("model", _put("theta", value="garbage"), "theta is not a JSON object"),
         ("model", _put("theta", value={"mean": [0.0], "var": [1.0]}),
          "theta has dimension 1, not the"),
-        ("model", _put("round", value=-5), "round: round must be >= 0"),
+        # A file written when the model stored its round count.
+        ("model", _put("round", value=2), "has unknown keys ['round']"),
         # A file written when the model stored these three run facts.
         ("model", lambda payload: {
             **payload, "train_window": 1.0, "eval_interval": [0.0, 1.0],
@@ -802,7 +854,7 @@ class TestMalformedFiles:
             "metadata-no-horizon", "metadata-list", "model-truncated",
             "records-truncated", "metadata-truncated",
             "model-encoder-hidden_dim", "model-phi-length", "model-theta-string",
-            "model-theta-length", "model-round-negative", "model-old-format"])
+            "model-theta-length", "model-old-format-round", "model-old-format"])
     def test_error_names_file_and_key(self, tmp_path, config_path, data_dir,
                                       capsys, target, edit, message):
         model = tmp_path / "model.json"

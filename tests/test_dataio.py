@@ -567,6 +567,28 @@ class TestJsonl:
             load_jsonl(path)
         assert named in str(err.value)
 
+    def test_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "client_03.train.jsonl"
+        path.write_text('{"times": [0.1], "horizon": 1.0}\n'
+                        '{"times": [0.5, 0.1], "horizon": 1.0}\n')
+        with pytest.raises(ValueError) as err:
+            load_jsonl(path)
+        assert str(err.value).startswith(f"{path}: invalid sequence at line 2")
+
+    # 5000 lines put the bad byte well past the first block that is read.
+    @pytest.mark.parametrize("before", [2, 5000])
+    def test_non_utf8_line_named(self, tmp_path, before):
+        path = tmp_path / "bytes.jsonl"
+        good = b'{"times": [0.1], "horizon": 1.0}\n'
+        path.write_bytes(good * before
+                         + b'{"times": [0.1], "horizon": 1.0, "x": "\xff"}\n'
+                         + good)
+        with pytest.raises(ValueError) as err:
+            load_jsonl(path)
+        assert str(err.value).startswith(
+            f"{path}: line {before + 1} is not UTF-8 text"
+        )
+
     def test_integral_float_marks_accepted(self, tmp_path):
         path = tmp_path / "marks.jsonl"
         path.write_text('{"times": [0.1, 0.2], "marks": [1.0, 2], "horizon": 1.0}\n')
