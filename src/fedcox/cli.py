@@ -6,9 +6,14 @@ is: --seed flag, then the FEDPP_SEED environment variable, then the
 config file.  Exit codes: 0 success; 2 an invalid config (file, flags,
 FEDPP_SEED, ``aggregate --mmd-delta``), a usage error, or a missing file
 or one of the wrong kind (a file for a directory or the reverse);
-1 a malformed data, model, record or metadata.json file, a layout or
-client-count mismatch, or a failed round.  Only a failed round or an
-unexpected error logs a traceback.
+1 a malformed data, model or record file, a horizon or client-count
+mismatch, or a failed round.  Only a failed round or an unexpected error
+logs a traceback.
+
+Under ``split: sequence`` a data directory holds, for every client, a
+``client_XX.train.jsonl`` and a ``client_XX.test.jsonl`` file, and its
+horizon is read from its sequences.  ``generate`` also writes
+``metadata.json``, a record for the reader that no command reads.
 """
 from __future__ import annotations
 
@@ -133,7 +138,8 @@ def _check_keys(cfg: dict) -> None:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    gen = cfg.get("generate") or {}
+    # A null section is an empty one.
+    gen = {} if cfg.get("generate") is None else cfg["generate"]
     if not isinstance(gen, dict):
         raise ConfigError(f"generate must be a mapping, got {gen!r}")
     unknown = set(gen) - _GEN_KEYS
@@ -220,35 +226,42 @@ def _write_versioned(path, payload: dict, last_key: str, items) -> None:
     the whole object.  The line goes to a temporary file beside ``path``
     that is flushed to disk and only then replaces ``path``, so after a
     failed write, a killed process or a power loss ``path`` holds either
-    the earlier file as it was or the whole new one.  A symlinked ``path`` is replaced at its target.  The new file
-    takes the default mode for new files, not the old file's, and the
-    directory must be writable.
+    the earlier file as it was or the whole new one.  A symlinked ``path``
+    is replaced at its target, and an ``OSError`` names ``path``.  The
+    new file takes the default mode for new files, not the old file's, and
+    the directory must be writable.
     """
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        # json.dumps takes the C encoder; json.dump never does.
-        with fh:
-            head = json.dumps({"version": PACKING_VERSION, **payload})
-            fh.write(f"{head[:-1]}, {json.dumps(last_key)}: [")
-            sep = ""
-            for item in items:
-                fh.write(sep)
-                fh.write(json.dumps(item))
-                sep = ", "
-            fh.write("]}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            # json.dumps takes the C encoder; json.dump never does.
+            with fh:
+                head = json.dumps({"version": PACKING_VERSION, **payload})
+                fh.write(f"{head[:-1]}, {json.dumps(last_key)}: [")
+                sep = ""
+                for item in items:
+                    fh.write(sep)
+                    fh.write(json.dumps(item))
+                    sep = ", "
+                fh.write("]}\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
-def _json_object(path, src: str) -> dict:
-    """The JSON object that the file at ``path`` holds; ``src`` names the
-    file in the ValueError for a file that is not one."""
+def _read_versioned(path, src: str, keys) -> list:
+    """The values of ``keys`` in a file written by :func:`_write_versioned`.
+
+    ``src`` names the file in errors.  The file must hold one JSON object
+    with, beside the packing version, exactly ``keys`` (:func:`_fields`).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -256,16 +269,6 @@ def _json_object(path, src: str) -> dict:
             raise ValueError(f"{src} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{src} does not hold a JSON object")
-    return payload
-
-
-def _read_versioned(path, src: str, keys) -> list:
-    """The values of ``keys`` in a file written by :func:`_write_versioned`.
-
-    ``src`` names the file in errors.  Beside the packing version the file
-    must hold exactly ``keys`` (:func:`_fields`).
-    """
-    payload = _json_object(path, src)
     version = payload.get("version")
     if version != PACKING_VERSION:
         raise ValueError(
@@ -302,11 +305,11 @@ def _elements(node, src: str, where: str) -> list:
 
 @contextmanager
 def _naming(src: str, where: str):
-    """Turn a TypeError or ValueError into a ValueError naming the file and
-    the key path of the value being read."""
+    """Turn a TypeError, ValueError or OverflowError into a ValueError
+    naming the file and the key path of the value being read."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{src} {where}: {exc}") from None
 
 
@@ -503,51 +506,45 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_metadata_horizon(data_dir: Path) -> float:
-    """The horizon of the ``metadata.json`` that :func:`cmd_generate` wrote.
-
-    Its other keys are a record for the reader and are not read.
-    """
-    path = data_dir / "metadata.json"
-    meta = _json_object(path, str(path))
-    if "horizon" not in meta:
-        raise ValueError(f"{path} has no 'horizon' key")
-    check_setting("metadata.json horizon", meta["horizon"], float, low=0,
-                  strict=True)
-    return float(meta["horizon"])
-
-
-def _load_dataset(data, cfg):
+def _load_dataset(data, cfg, horizon=None):
     """Client train and test sets, horizon, training window, eval interval.
 
     With ``split: sequence``, ``data`` is a directory written by
-    ``generate``.  With ``split: time`` it is one marked JSONL file, split
-    by timestamp and partitioned across clients by event type.
+    ``generate`` that holds ``client_XX.train.jsonl`` and
+    ``client_XX.test.jsonl`` for every client.  Every sequence must have
+    one horizon: ``horizon`` if given (a model's; the training files are
+    then not read, and the train sets are None), else the first training
+    sequence's.  With ``split: time`` it is one marked JSONL file, split
+    by timestamp and partitioned across clients by event type, whose
+    horizon is the normalized one.
     """
     n_clients = cfg["clients"]
     if cfg["split"] == "sequence":
-        data_dir = Path(data)
-        horizon = _read_metadata_horizon(data_dir)
-
-        def load(path):
-            # Every sequence is observed on [0, horizon]: the client's
-            # likelihood integral and the held-out score both span it.
-            seqs = dataio.load_jsonl(path)
-            for seq in seqs:
-                if seq.horizon != horizon:
-                    raise ValueError(
-                        f"{path} holds a sequence of horizon "
-                        f"{seq.horizon!r}, not the metadata.json horizon "
-                        f"{horizon!r}"
-                    )
-            return seqs
-
-        train_sets, test_sets = [], []
-        for cid in range(n_clients):
-            train_sets.append(load(data_dir / f"client_{cid:02d}.train.jsonl"))
-            test_path = data_dir / f"client_{cid:02d}.test.jsonl"
-            test_sets.append(load(test_path) if test_path.exists() else [])
-        return train_sets, test_sets, horizon, horizon, (0.0, horizon)
+        # Every sequence is observed on [0, horizon]: the client's
+        # likelihood integral and the held-out score both span it.
+        sets, of = {"train": None}, "the model"
+        for kind in ("train", "test") if horizon is None else ("test",):
+            sets[kind] = []
+            for cid in range(n_clients):
+                path = Path(data) / f"client_{cid:02d}.{kind}.jsonl"
+                sets[kind].append(dataio.load_jsonl(path))
+                for seq in sets[kind][-1]:
+                    if horizon is None:
+                        horizon = seq.horizon
+                        of = f"the first sequence of {path}"
+                    elif seq.horizon != horizon:
+                        raise ValueError(
+                            f"{path} holds a sequence of horizon "
+                            f"{seq.horizon!r}, not the horizon {horizon!r} "
+                            f"of {of}"
+                        )
+        return sets["train"], sets["test"], horizon, horizon, (0.0, horizon)
+    if horizon not in (None, dataio.NORMALIZED_HORIZON):
+        raise ValueError(
+            f"split: time normalizes {data} to horizon "
+            f"{dataio.NORMALIZED_HORIZON!r}, not the horizon {horizon!r} of "
+            "the model"
+        )
     plan = dataio.partition_heterogeneous(
         dataio.load_jsonl(data), cfg["event_types"], cfg["types_per_client"],
         n_clients, cfg["seed"],
@@ -565,6 +562,8 @@ def cmd_train(args) -> int:
     train_sets, test_sets, horizon, window, interval = _load_dataset(
         args.data, cfg
     )
+    if args.model and Path(args.model).is_dir():
+        raise IsADirectoryError(f"--model {args.model} is a directory")
     metrics_path = Path(args.metrics)
     metrics_path.parent.mkdir(parents=True, exist_ok=True)
     if args.model:
@@ -595,13 +594,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, states, horizon = load_model(args.model)
-    # The saved split fixes the interval for a given horizon.
-    _, test_sets, data_horizon, _, interval = _load_dataset(args.data, cfg)
-    if horizon != data_horizon:
-        raise ValueError(
-            f"model file {args.model} was trained with horizon {horizon!r}, "
-            f"but {args.data} has horizon {data_horizon!r}"
-        )
+    # The saved split and the model's horizon fix the interval.
+    _, test_sets, _, _, interval = _load_dataset(args.data, cfg, horizon)
     values = []
     for state, test_seqs in zip(states, test_sets):
         values.append(heldout_loglik(state, test_seqs, interval))

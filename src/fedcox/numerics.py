@@ -9,6 +9,7 @@ safe to share across workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -318,9 +319,10 @@ def check_setting(name: str, value, kind: type, low=None,
     """Check the run setting ``name`` against its kind and lower bound.
 
     ``kind`` is ``int``, ``float`` or ``bool``.  A bool is never a number,
-    numbers must be finite, and numpy scalars count as their kind.  ``low``
-    is exclusive when ``strict``.  Raises ``TypeError`` for a wrong type and
-    ``ValueError`` for a value out of range.
+    numbers must be finite, a ``float`` setting must fit a float, and
+    numpy scalars count as their kind.  ``low`` is exclusive when
+    ``strict``.  Raises ``TypeError`` for a wrong type and ``ValueError``
+    for a value out of range.
     """
     types = {int: Integral, float: Real, bool: (bool, np.bool_)}[kind]
     is_bool = isinstance(value, (bool, np.bool_))
@@ -329,6 +331,14 @@ def check_setting(name: str, value, kind: type, low=None,
         raise TypeError(f"{name} must be {what[kind]}, got {value!r}")
     if not -math.inf < value < math.inf:  # NaN fails too
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if kind is float and value.__class__ is not float:
+        try:
+            float(value)
+        except OverflowError:  # an integer such as 10**400
+            raise ValueError(
+                f"{name} must fit a float, got a number of magnitude over "
+                f"{sys.float_info.max!r}"
+            ) from None
     if low is not None and not (value > low if strict else value >= low):
         raise ValueError(
             f"{name} must be {'>' if strict else '>='} {low}, got {value!r}"

@@ -231,6 +231,38 @@ class TestConfig:
         assert main(["train", "--config", str(path), "--data", "x",
                      "--metrics", str(tmp_path / "m.csv")]) == 2
 
+    @pytest.mark.parametrize("bad, key, command", [
+        ({"step_size": 10**400}, "step_size", "train"),
+        ({"generate": {"m": 10**400}}, "generate.m", "generate"),
+    ], ids=["step_size", "generate-m"])
+    def test_number_beyond_float_range_exits_2(self, tmp_path, capsys, bad,
+                                               key, command):
+        # A finite number whose float conversion overflows is out of range.
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(bad))
+        with pytest.raises(cli.ConfigError, match=f"^{key} must fit a float"):
+            load_config(str(path))
+        where = (["--data", "x", "--metrics", str(tmp_path / "m.csv")]
+                 if command == "train" else ["--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert main([command, "--config", str(path), *where]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {key} must fit a float"
+        )
+
+    @pytest.mark.parametrize("value", [False, 0, [], ""],
+                             ids=["false", "zero", "list", "string"])
+    def test_generate_must_be_a_mapping(self, tmp_path, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"generate": value}))
+        with pytest.raises(cli.ConfigError, match="generate must be a mapping"):
+            load_config(str(path))
+        # A null section is an empty one.
+        path.write_text("generate:\n")
+        assert load_config(str(path))["generate"] == (
+            cli._DEFAULT_CONFIG["generate"]
+        )
+
     def test_accepted_keys(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FEDPP_SEED", raising=False)
         every_key = dict(
@@ -376,37 +408,82 @@ class TestTrain:
                         "clients": 5, "participants": 2, "local_epochs": 6,
                         "straggle_period": 7}
 
-    @pytest.mark.parametrize("horizon, message", [
-        (float("nan"), "metadata.json horizon must be finite"),
-        ("abc", "metadata.json horizon must be a number"),
-        (None, "metadata.json horizon must be a number"),
-        (0.5, "client_00.train.jsonl holds a sequence of horizon 1.0, not the "
-              "metadata.json horizon 0.5"),
-    ], ids=["nan", "string", "null", "short"])
-    def test_bad_metadata_horizon_rejected(self, tmp_path, config_path,
-                                           data_dir, capsys, horizon, message,
-                                           monkeypatch):
-        meta_path = os.path.join(data_dir, "metadata.json")
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        meta["horizon"] = horizon
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
+    def test_training_horizons_must_agree(self, tmp_path, config_path,
+                                          data_dir, capsys, monkeypatch):
+        # The first training sequence sets the run's horizon.
+        path = os.path.join(data_dir, "client_01.train.jsonl")
+        dataio.save_jsonl([
+            dataio.EventSequence(times=seq.times[seq.times <= 0.5],
+                                 horizon=0.5)
+            for seq in dataio.load_jsonl(path)
+        ], path)
         started = []
         monkeypatch.setattr(cli, "run_training",
                             lambda *a, **k: started.append(1))
         capsys.readouterr()
         assert main(["train", "--config", config_path, "--data", data_dir,
                      "--metrics", str(tmp_path / "m.csv")]) == 1
-        assert message in capsys.readouterr().err
+        first = os.path.join(data_dir, "client_00.train.jsonl")
+        assert capsys.readouterr().err == (
+            f"error: {path} holds a sequence of horizon 0.5, not the horizon "
+            f"1.0 of the first sequence of {first}\n"
+        )
         assert not started
+
+    def test_layout_without_metadata_trains_the_same(self, tmp_path,
+                                                     config_path, data_dir):
+        # metadata.json is a record for the reader; no command reads it.
+        metrics = [tmp_path / "m1.csv", tmp_path / "m2.csv"]
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(metrics[0])]) == 0
+        os.remove(os.path.join(data_dir, "metadata.json"))
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(metrics[1])]) == 0
+        assert metrics[0].read_bytes() == metrics[1].read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_missing_test_file_exits_2(self, tmp_path, config_path, data_dir,
+                                       capsys, command):
+        # Both files of every client are required: eval does not skip a
+        # client whose test file is missing.
+        model = tmp_path / "model.json"
+        argv = ["train", "--config", config_path, "--data", data_dir,
+                "--metrics", str(tmp_path / "m.csv"), "--model", str(model)]
+        if command == "eval":
+            assert main(argv) == 0
+            argv = ["eval", "--model", str(model), "--data", data_dir]
+        test_path = os.path.join(data_dir, "client_01.test.jsonl")
+        os.remove(test_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert test_path in captured.err
+        assert captured.out == ""
+
+    def test_directory_as_model_rejected_before_round_0(self, tmp_path,
+                                                        config_path, data_dir,
+                                                        capsys, monkeypatch):
+        model = tmp_path / "adir"
+        model.mkdir()
+        started = []
+        monkeypatch.setattr(cli, "run_training",
+                            lambda *a, **k: started.append(1))
+        capsys.readouterr()
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --model {model} is a directory\n"
+        )
+        assert not started
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_short_sequence_horizon_rejected(self, tmp_path, config_path,
                                              data_dir, capsys, command):
         # Under split: sequence every sequence is observed on the whole
-        # metadata.json horizon, so a shorter one is not scored past its
-        # end.
+        # horizon, so a shorter one is not scored past its end.
         model = tmp_path / "model.json"
         argv = ["train", "--config", config_path, "--data", data_dir,
                 "--metrics", str(tmp_path / "m.csv"), "--model", str(model)]
@@ -422,8 +499,12 @@ class TestTrain:
         capsys.readouterr()
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert (f"error: {test_path} holds a sequence of horizon 0.3, not the "
-                f"metadata.json horizon 1.0") in captured.err
+        of = ("the model" if command == "eval" else "the first sequence of "
+              + os.path.join(data_dir, "client_00.train.jsonl"))
+        assert captured.err.endswith(
+            f"error: {test_path} holds a sequence of horizon 0.3, not the "
+            f"horizon 1.0 of {of}\n"
+        )
         assert "test loglik" not in captured.out
 
     def test_time_split_workflow(self, tmp_path, time_layout):
@@ -480,11 +561,14 @@ class TestTrain:
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         assert "horizon 1e-310 is too small" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("split", ["time", "sequence"])
+    @pytest.mark.parametrize("split, emptied", [
+        ("time", None), ("sequence", [1]), ("sequence", [0, 1, 2, 3]),
+    ], ids=["time", "sequence", "sequence-all"])
     def test_client_without_training_sequences_exits_1(self, tmp_path, split,
-                                                       capsys):
+                                                       emptied, capsys):
         # Time split: three lines dealt to four clients leave client 3
-        # none.  Sequence split: client 1's train file is empty.
+        # none.  Sequence split: the emptied clients' train files are
+        # empty; with all of them empty, no sequence sets the horizon.
         cfg = dict(SMALL_CONFIG, clients=4)
         if split == "time":
             cfg.update({"split": "time", "event_types": 4,
@@ -493,7 +577,7 @@ class TestTrain:
             line = json.dumps({"times": [10.0, 20.0, 30.0],
                                "marks": [0, 1, 2], "horizon": 50.0})
             data.write_text(3 * (line + "\n"))
-            missing = 3
+            missing = "3"
         else:
             data = tmp_path / "data"
         cfg_path = tmp_path / "cfg.yaml"
@@ -501,8 +585,9 @@ class TestTrain:
         if split == "sequence":
             assert main(["generate", "--config", str(cfg_path),
                          "--out", str(data)]) == 0
-            (data / "client_01.train.jsonl").write_text("")
-            missing = 1
+            for cid in emptied:
+                (data / f"client_{cid:02d}.train.jsonl").write_text("")
+            missing = ", ".join(map(str, emptied))
         capsys.readouterr()
         assert main(["train", "--config", str(cfg_path), "--data", str(data),
                      "--metrics", str(tmp_path / "m.csv")]) == 1
@@ -689,9 +774,47 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--data", str(other)]) == 1
         captured = capsys.readouterr()
-        assert (f"model file {model} was trained with horizon 1.0, but "
-                f"{other} has horizon 2.0") in captured.err
+        assert (f"error: {other / 'client_00.test.jsonl'} holds a sequence of "
+                "horizon 2.0, not the horizon 1.0 of the model") in captured.err
         assert "test loglik" not in captured.out
+
+    def test_time_model_horizon_must_be_normalized(self, tmp_path,
+                                                   time_layout, capsys):
+        cfg_path, data = time_layout
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", cfg_path, "--data", data,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        payload["horizon"] = 50.0
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: split: time normalizes {data} to horizon 100.0, not the "
+            "horizon 50.0 of the model\n"
+        )
+        assert captured.out == ""
+
+    def test_reads_only_the_test_files(self, tmp_path, config_path, data_dir,
+                                       capsys):
+        # Training files and metadata.json are not read: a layout without
+        # the one and with a garbage line in another scores the same.
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", config_path, "--data", data_dir,
+                     "--metrics", str(tmp_path / "m.csv"),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
+        intact = capsys.readouterr()
+        os.remove(os.path.join(data_dir, "metadata.json"))
+        with open(os.path.join(data_dir, "client_01.train.jsonl"), "a",
+                  encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        assert main(["eval", "--model", str(model), "--data", data_dir]) == 0
+        assert capsys.readouterr() == intact
+        assert intact.out.count("test loglik") == 3
 
     def test_model_without_config_rejected(self, tmp_path, config_path,
                                            data_dir, capsys):
@@ -816,8 +939,8 @@ def _cut(payload):
 
 
 class TestMalformedFiles:
-    """A malformed model, record or metadata file exits 1 with an error that
-    names the file and the key path."""
+    """A malformed model or record file exits 1 with an error that names
+    the file and the key path."""
 
     @pytest.mark.parametrize("target, edit, message", [
         ("model", _pop("clients", 0, "phi"), "has no 'clients[0].phi' key"),
@@ -828,11 +951,8 @@ class TestMalformedFiles:
         ("records", _pop("dim"), "has no 'dim' key"),
         ("records", _pop("records", 0, "var"),
          "has no 'records[0].var' key"),
-        ("metadata", _pop("horizon"), "has no 'horizon' key"),
-        ("metadata", lambda payload: [1, 2], "does not hold a JSON object"),
         ("model", _cut, "is not valid JSON"),
         ("records", _cut, "is not valid JSON"),
-        ("metadata", _cut, "is not valid JSON"),
         # The encoder is built from the saved config, not stored.
         ("model", _put("config", "hidden_dim", value=16),
          "theta has dimension"),
@@ -849,12 +969,20 @@ class TestMalformedFiles:
             **payload, "train_window": 1.0, "eval_interval": [0.0, 1.0],
             "encoder": {"hidden_dim": 32, "output_dim": 8, "t_norm": 1.0},
         }, "has unknown keys ['encoder', 'eval_interval', 'train_window']"),
+        # Finite numbers whose float conversion overflows.
+        ("model", _put("horizon", value=10**400),
+         "horizon: horizon must fit a float"),
+        ("model", _put("clients", 0, "m", value=10**400),
+         "clients[0]: client 0 m must fit a float"),
+        ("model", _put("theta", "mean", 0, value=10**400),
+         "theta: int too large to convert to float"),
     ], ids=["model-client-no-phi", "model-client-int",
             "model-encoder-extra-key", "records-no-dim", "records-no-var",
-            "metadata-no-horizon", "metadata-list", "model-truncated",
-            "records-truncated", "metadata-truncated",
+            "model-truncated", "records-truncated",
             "model-encoder-hidden_dim", "model-phi-length", "model-theta-string",
-            "model-theta-length", "model-old-format-round", "model-old-format"])
+            "model-theta-length", "model-old-format-round", "model-old-format",
+            "model-horizon-beyond-float", "model-m-beyond-float",
+            "model-theta-beyond-float"])
     def test_error_names_file_and_key(self, tmp_path, config_path, data_dir,
                                       capsys, target, edit, message):
         model = tmp_path / "model.json"
@@ -862,32 +990,29 @@ class TestMalformedFiles:
             assert main(["train", "--config", config_path, "--data", data_dir,
                          "--metrics", str(tmp_path / "m.csv"),
                          "--model", str(model)]) == 0
-            path, kind = model, "model file "
+            path, kind = model, "model file"
             argv = ["eval", "--model", str(model), "--data", data_dir]
-        elif target == "records":
-            path, kind = tmp_path / "in.json", "parameter record file "
+        else:
+            path, kind = tmp_path / "in.json", "parameter record file"
             write_param_records(
                 [DiagGaussian(np.zeros(2), np.ones(2))] * 2, path
             )
             argv = ["aggregate", "--method", "kl", "--in", str(path),
                     "--out", str(tmp_path / "out.json")]
-        else:
-            path, kind = tmp_path / "data" / "metadata.json", ""
-            argv = ["train", "--config", config_path, "--data", data_dir,
-                    "--metrics", str(tmp_path / "m.csv")]
         edited = edit(json.loads(path.read_text()))
         path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         capsys.readouterr()
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert f"error: {kind}{path}" in captured.err
+        assert f"error: {kind} {path}" in captured.err
         assert message in captured.err
         assert "test loglik" not in captured.out
 
     def test_malformed_file_prints_no_traceback(self, tmp_path, config_path,
                                                 data_dir):
-        path = tmp_path / "data" / "metadata.json"
-        path.write_text(json.dumps(_pop("horizon")(json.loads(path.read_text()))))
+        path = tmp_path / "data" / "client_01.train.jsonl"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         done = subprocess.run(
@@ -897,7 +1022,8 @@ class TestMalformedFiles:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 1
-        assert done.stderr == f"error: {path} has no 'horizon' key\n"
+        assert done.stderr == (f"error: {path}: malformed JSON at line 3: "
+                               "Expecting value: line 1 column 1 (char 0)\n")
 
     # Config files that YAML cannot read: a syntax error, a tab indent, a
     # date that does not exist and text that is not UTF-8.
@@ -1043,6 +1169,25 @@ class TestAggregateCommand:
                      "--out", str(tmp_path / "o.json"),
                      "--mmd-delta", delta]) == 2
         assert "mmd_delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, problem", [
+        ("adir", "[Errno 21] Is a directory"),
+        ("nodir/out.json", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing-directory"])
+    def test_unwritable_out_named(self, tmp_path, capsys, out, problem):
+        # The error names the target, not the temporary file beside it.
+        src, out = tmp_path / "in.json", tmp_path / out
+        write_param_records(
+            [DiagGaussian(np.array([0.0]), np.array([1.0]))], src
+        )
+        (tmp_path / "adir").mkdir()
+        assert main(["aggregate", "--method", "kl", "--in", str(src),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {problem}: '{os.path.realpath(out)}'\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["adir", "in.json"]
+        assert os.listdir(tmp_path / "adir") == []
 
     def test_writing_no_records_fails_before_any_file(self, tmp_path):
         with pytest.raises(ValueError, match="holds no records"):

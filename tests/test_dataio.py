@@ -42,6 +42,10 @@ class TestEventSequence:
         with pytest.raises(ValueError, match="finite"):
             EventSequence(times=np.array([0.1, 0.2]), horizon=bad)
 
+    def test_rejects_horizon_beyond_float_range(self):
+        with pytest.raises(ValueError, match="horizon must fit a float"):
+            EventSequence(times=[0.5], horizon=10**400)
+
     def test_marks_length_checked(self):
         with pytest.raises(ValueError):
             EventSequence(times=np.array([0.1, 0.2]), horizon=1.0,

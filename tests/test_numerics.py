@@ -1,6 +1,8 @@
 """Oracle and property tests for the foundational numerics."""
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -533,6 +535,10 @@ class TestCheckSetting:
         (-7, int, None, False),
         (True, bool, None, False),
         (np.bool_(False), bool, None, False),
+        # The largest float, as an integer; an integer setting has no
+        # upper bound.
+        (int(sys.float_info.max), float, 0, True),
+        (10**400, int, 1, False),
     ])
     def test_accepts(self, value, kind, low, strict):
         check_setting("x", value, kind, low, strict)
@@ -555,3 +561,11 @@ class TestCheckSetting:
     def test_out_of_range_is_value_error(self, value, kind, low, strict):
         with pytest.raises(ValueError, match="^x must be"):
             check_setting("x", value, kind, low, strict)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024,
+                                       Fraction(10**400, 3)],
+                             ids=["int", "negative-int", "2**1024", "fraction"])
+    def test_number_beyond_float_range_is_value_error(self, value):
+        # Finite as a number, but its float conversion overflows.
+        with pytest.raises(ValueError, match="^x must fit a float"):
+            check_setting("x", value, float)
